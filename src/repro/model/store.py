@@ -39,6 +39,7 @@ import numpy as np
 
 from repro.model.optimizer import OptimizerTable
 from repro.model.params import MachineParams
+from repro.util.validation import check_partition
 
 __all__ = [
     "ShardFile",
@@ -105,8 +106,14 @@ def _validate_table_data(
             f"corrupt table: {len(segments)} segments for {len(boundaries)} boundaries"
         )
     for segment in segments:
-        if sum(segment) != d:
-            raise ValueError(f"corrupt table: segment {segment} does not partition {d}")
+        # the whole check, not just the sum: (7, 0) and (8, -1) sum to 7
+        # too, and serving trusts a loaded table's segments unchecked
+        try:
+            check_partition(segment, d)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(
+                f"corrupt table: segment {segment} does not partition {d} ({exc})"
+            ) from None
     if any(b > a for a, b in zip(boundaries[1:], boundaries)):
         raise ValueError(f"corrupt table: boundaries {boundaries} are not sorted")
 

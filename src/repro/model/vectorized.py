@@ -22,21 +22,31 @@ same order* as :func:`repro.model.cost.phase_cost` /
 * powers of two come from ``ldexp`` so the scale factors are exact.
 
 Padded phase slots (partitions shorter than the widest candidate)
-contribute an exact ``+0.0``, which is the identity on every finite
-float, so ragged partition lists cost nothing in precision.
+would contribute an exact ``+0.0``, which leaves every total unchanged,
+so the kernel skips them: ragged partition lists cost nothing in
+precision, and only live phases cost time.
+
+One private slot loop, :func:`_eq3_kernel`, does all of this: the grid
+and pairs entry points are thin validating wrappers over it, and the
+query service prices a whole batch of mixed machines and cube
+dimensions with one call of it.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.core.partitions import cached_partitions
 from repro.model.params import MachineParams
-from repro.util.validation import check_dimension, check_partition
+from repro.util.validation import MAX_DIMENSION, check_dimension, check_partition
 
 __all__ = [
+    "canonical_pools",
     "grid_winners",
+    "machine_coefficients",
     "multiphase_time_grid",
     "multiphase_time_pairs",
     "pack_partitions",
@@ -62,6 +72,127 @@ def pack_partitions(
     return pool, packed
 
 
+@lru_cache(maxsize=None)
+def canonical_pools(
+    d_max: int,
+) -> tuple[tuple[tuple[int, ...], ...], np.ndarray, np.ndarray]:
+    """Every partition of every cube dimension ``1..d_max``, validated
+    and packed once per process: ``(pools, starts, packed)``.
+
+    The pool of ``d`` is rows ``starts[d - 1]:starts[d]`` of both the
+    flat partition tuple ``pools`` and the ``(N, d_max)`` matrix
+    ``packed``.  Each pool is sorted by partition tuple, so a row-wise
+    argmin's first minimum is the smallest tuple among the tied: the
+    :func:`grid_winners` total order.  The arrays are read-only
+    because every caller shares them.
+    """
+    check_dimension(d_max, minimum=1)
+    pools: list[tuple[int, ...]] = []
+    blocks = []
+    for d in range(1, d_max + 1):
+        pool, block = pack_partitions(sorted(cached_partitions(d)), d)
+        pools.extend(pool)
+        blocks.append(np.pad(block, ((0, 0), (0, d_max - d))))
+    starts = np.cumsum([0] + [len(block) for block in blocks])
+    packed = np.concatenate(blocks).astype(np.int8)  # parts <= 24
+    starts.setflags(write=False)
+    packed.setflags(write=False)
+    return tuple(pools), starts, packed
+
+
+def machine_coefficients(
+    params: MachineParams, d: int
+) -> tuple[float, float, float, float, float]:
+    """The five eq. (3) coefficients of ``params`` on a ``d``-cube:
+    ``(λ_x, τ, δ_x, ρ, global sync)``, in the kernel's argument order."""
+    return (params.exchange_latency, params.byte_time, params.exchange_hop_time,
+            params.permute_time, params.global_sync_time(d))
+
+
+#: eq. (3) terms of one phase, looked up by its dimension ``d_i``: the
+#: ``2**d_i - 1`` transmissions and their total distance
+#: ``d_i * 2**(d_i - 1)``; and powers of two, ``_POW2[k] = 2**k`` and
+#: ``_SCALE[d, d_i] = 2**(d - d_i)`` (read only for ``d_i <= d``).
+#: Powers of two are exact, so each lookup is the float the scalar
+#: model computes.
+_DIMS = range(MAX_DIMENSION + 1)
+_N_TX = np.array([(1 << di) - 1 for di in _DIMS], dtype=np.int64)
+_DISTANCE = np.array([di << max(di - 1, 0) for di in _DIMS], dtype=np.int64)
+_POW2 = np.ldexp(1.0, np.arange(MAX_DIMENSION + 1, dtype=np.int32))
+_SCALE = np.array([[_POW2[abs(d - di)] for di in _DIMS] for d in _DIMS])
+
+
+def _eq3_kernel(m, d, parts, lam_x, tau, delta_x, rho, gsync) -> np.ndarray:
+    """The one eq. (3) slot loop.
+
+    ``parts`` is an ``(R, K)`` packed partition matrix: one candidate
+    per row, its phases first, ``0`` in the dead slots after them.  Each
+    other argument is a scalar or an array of the result's rank whose
+    leading axis is the row axis (length ``R``) or a broadcast axis
+    (length 1), so the result has shape ``(R, ...)``: the grid passes
+    ``m`` as ``(1, M)``; pairs and the query service pass one value per
+    row.  Inputs are trusted: callers validate partitions and block
+    sizes.
+
+    Rows are visited in decreasing phase count, so slot ``s`` touches
+    only the leading rows that have a phase there.  A dead slot would
+    add an exact ``+0.0``, which leaves every total unchanged, so
+    skipping it is exact.
+    """
+    n_rows, width = parts.shape
+    n_phases = (parts > 0).sum(axis=1)
+    order = np.argsort(-n_phases, kind="stable")
+    #: per slot, how many rows have a phase in it
+    counts = np.cumsum(np.bincount(n_phases, minlength=width + 1)[::-1])[::-1][1:]
+
+    def by_row(x):
+        x = np.asarray(x)
+        return x[order] if x.ndim and x.shape[0] == n_rows else x
+
+    m, d, lam_x, tau, delta_x, rho, gsync = map(
+        by_row, (m, d, lam_x, tau, delta_x, rho, gsync)
+    )
+    parts = parts[order]
+    trailing = np.broadcast_shapes(
+        *(x.shape[1:] for x in (m, d, lam_x, tau, delta_x, rho, gsync))
+    )
+    column = (slice(None),) + (np.newaxis,) * len(trailing)
+    total = np.zeros((n_rows, *trailing))
+    # overflow to inf at astronomically large m is the scalar model's
+    # answer too, not an error
+    with np.errstate(over="ignore"):
+        #: ρ·(m·2**d), charged per phase only in multi-phase schedules
+        shuffle = np.where(
+            (n_phases[order] > 1)[column], rho * (m * _POW2[d]), 0.0
+        )
+
+        def head(x):  # the rows of the current slot, ``k`` of them
+            return x[:k] if x.ndim and x.shape[0] == n_rows else x
+
+        for slot, k in enumerate(counts.tolist()):
+            di = parts[:k, slot][column]
+            phase = _N_TX[di] * (
+                head(lam_x) + head(tau) * (head(m) * _SCALE[head(d), di])
+            )
+            phase = phase + head(delta_x) * _DISTANCE[di]
+            phase = phase + head(shuffle)
+            phase = phase + head(gsync)
+            total[:k] += phase
+    out = np.empty_like(total)
+    out[order] = total
+    return out
+
+
+def _block_sizes(ms: Sequence[float] | np.ndarray) -> np.ndarray:
+    m_arr = np.asarray(ms, dtype=np.float64)
+    if m_arr.ndim != 1:
+        raise ValueError(f"ms must be one-dimensional, got shape {m_arr.shape}")
+    if m_arr.size and (not np.all(np.isfinite(m_arr)) or np.any(m_arr < 0)):
+        bad = m_arr[~(np.isfinite(m_arr) & (m_arr >= 0))][0]
+        raise ValueError(f"block sizes must be finite and >= 0, got {bad}")
+    return m_arr
+
+
 def multiphase_time_grid(
     ms: Sequence[float] | np.ndarray,
     d: int,
@@ -84,49 +215,11 @@ def multiphase_time_grid(
     array([[15144.],
            [ 9984.]])
     """
-    pool, packed = pack_partitions(partitions, d)
-    m_arr = np.asarray(ms, dtype=np.float64)
-    if m_arr.ndim != 1:
-        raise ValueError(f"ms must be one-dimensional, got shape {m_arr.shape}")
-    if m_arr.size and (not np.all(np.isfinite(m_arr)) or np.any(m_arr < 0)):
-        bad = m_arr[~(np.isfinite(m_arr) & (m_arr >= 0))][0]
-        raise ValueError(f"block sizes must be finite and >= 0, got {bad}")
-
-    n_rows = len(pool)
-    if n_rows == 0:
-        return np.zeros((0, m_arr.shape[0]))
-
-    lam_x = params.exchange_latency
-    tau = params.byte_time
-    delta_x = params.exchange_hop_time
-    gsync = params.global_sync_time(d)
-    n_phases = (packed > 0).sum(axis=1)
-    #: ρ·(m·2**d), charged per phase only in multi-phase schedules
-    shuffle_row = params.permute_time * (m_arr * float(1 << d))
-
-    total = np.zeros((n_rows, m_arr.shape[0]))
-    for slot in range(packed.shape[1]):
-        di = packed[:, slot]
-        live = di > 0
-        # dead slots: n_tx = 0 and distance = 0, so the slot's
-        # transmission/distance vanish without masking
-        n_tx = np.left_shift(1, di) - 1
-        # int32 exponents: np.ldexp has no int64 loop where C long is
-        # 32-bit (e.g. Windows), and d <= 24 bounds them anyway.  Dead
-        # slots get scale 0.0, not 2**d: at astronomically large m the
-        # latter overflows to inf and 0*inf would poison the slot's
-        # exact-+0.0 contribution with NaN.
-        scale = np.where(live, np.ldexp(1.0, (d - di).astype(np.int32)), 0.0)
-        distance = delta_x * (di * np.left_shift(1, np.maximum(di - 1, 0)))
-        effective = m_arr[np.newaxis, :] * scale[:, np.newaxis]
-        phase = n_tx[:, np.newaxis] * (lam_x + tau * effective)
-        phase = phase + distance[:, np.newaxis]
-        phase = phase + np.where(
-            (live & (n_phases > 1))[:, np.newaxis], shuffle_row[np.newaxis, :], 0.0
-        )
-        phase = phase + np.where(live, gsync, 0.0)[:, np.newaxis]
-        total += phase
-    return total
+    _, packed = pack_partitions(partitions, d)
+    m_arr = _block_sizes(ms)
+    return _eq3_kernel(
+        m_arr[np.newaxis, :], d, packed, *machine_coefficients(params, d)
+    )
 
 
 def multiphase_time_pairs(
@@ -139,9 +232,8 @@ def multiphase_time_pairs(
     ``(len(ms),)`` float64 vector.
 
     The elementwise form of :func:`multiphase_time_grid` — the same
-    IEEE-754 operations in the same order, applied along one axis
-    instead of broadcasting the cross product — so it is bitwise
-    identical to::
+    kernel, applied along one axis instead of broadcasting the cross
+    product — so it is bitwise identical to::
 
         [multiphase_time(m, d, p, params) for m, p in zip(ms, partitions)]
 
@@ -150,40 +242,12 @@ def multiphase_time_pairs(
     would evaluate cells nobody reads.
     """
     pool, packed = pack_partitions(partitions, d)
-    m_arr = np.asarray(ms, dtype=np.float64)
-    if m_arr.ndim != 1:
-        raise ValueError(f"ms must be one-dimensional, got shape {m_arr.shape}")
+    m_arr = _block_sizes(ms)
     if m_arr.shape[0] != len(pool):
         raise ValueError(
             f"{m_arr.shape[0]} block sizes paired with {len(pool)} partitions"
         )
-    if m_arr.size and (not np.all(np.isfinite(m_arr)) or np.any(m_arr < 0)):
-        bad = m_arr[~(np.isfinite(m_arr) & (m_arr >= 0))][0]
-        raise ValueError(f"block sizes must be finite and >= 0, got {bad}")
-    if len(pool) == 0:
-        return np.zeros(0)
-
-    lam_x = params.exchange_latency
-    tau = params.byte_time
-    delta_x = params.exchange_hop_time
-    gsync = params.global_sync_time(d)
-    n_phases = (packed > 0).sum(axis=1)
-    shuffle = params.permute_time * (m_arr * float(1 << d))
-
-    total = np.zeros(m_arr.shape[0])
-    for slot in range(packed.shape[1]):
-        di = packed[:, slot]
-        live = di > 0
-        n_tx = np.left_shift(1, di) - 1
-        scale = np.where(live, np.ldexp(1.0, (d - di).astype(np.int32)), 0.0)
-        distance = delta_x * (di * np.left_shift(1, np.maximum(di - 1, 0)))
-        effective = m_arr * scale
-        phase = n_tx * (lam_x + tau * effective)
-        phase = phase + distance
-        phase = phase + np.where(live & (n_phases > 1), shuffle, 0.0)
-        phase = phase + np.where(live, gsync, 0.0)
-        total += phase
-    return total
+    return _eq3_kernel(m_arr, d, packed, *machine_coefficients(params, d))
 
 
 def grid_winners(

@@ -12,7 +12,7 @@ repeated future use".  This subsystem is the *repeated future use*:
     result memo cache, and cache-hit statistics.
 :mod:`repro.service.batch`
     :class:`QueryBatch` — coalesces heterogeneous ``(preset, d, m)``
-    lookups into as few grid-kernel calls as possible.
+    lookups and prices all of their memo misses in one kernel call.
 :mod:`repro.service.server`
     :func:`serve` — the stdin/stdout JSON-lines request loop behind
     ``repro serve`` (and the one-shot ``repro query``), plus the

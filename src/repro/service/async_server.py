@@ -71,7 +71,7 @@ import json
 import os
 import signal
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, AsyncIterator, Callable
 
 import numpy as np
@@ -238,7 +238,7 @@ class ServerStats:
 
     @property
     def mean_batch_queries(self) -> float:
-        """Average flush occupancy (queries per grid-coalesced pass)."""
+        """Average flush occupancy (queries per coalesced resolver pass)."""
         return self.batched_queries / self.batches if self.batches else 0.0
 
     @property
@@ -280,10 +280,11 @@ class ServerStats:
 
 
 class _MicroBatcher:
-    """Coalesce concurrently pending queries into one grid pass.
+    """Coalesce concurrently pending queries into one resolver pass.
 
     Submissions accumulate until one of three triggers flushes them all
-    through a single :func:`resolve_queries` call:
+    through a single :func:`resolve_queries` call, which prices every
+    memo miss of the flush with one call of the eq. (3) kernel:
 
     ``size``
         the pending pool reached ``max_batch`` queries;
@@ -945,10 +946,11 @@ class AsyncOptimizerServer:
         """The :func:`~repro.service.batch.as_query` checks, applied in
         place: ``query_from_obj`` already coerced the field types, so
         validating via the shared :func:`check_query_values` without
-        rebuilding the (frozen) Query keeps admission cheap."""
-        check_query_values(query.d, query.m)
+        rebuilding the (frozen) Query keeps admission cheap.  Only a
+        zero block size is rebuilt, so ``-0.0`` is admitted as ``0.0``."""
+        m = check_query_values(query.d, query.m)
         self.registry.params(query.preset)  # unknown presets fail here
-        return query
+        return query if m else replace(query, m=m)
 
     @staticmethod
     def _internal_error(exc: BaseException, request_id: object | None) -> dict:

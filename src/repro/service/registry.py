@@ -48,7 +48,7 @@ class RegistryStats:
     queries: int = 0
     #: queries answered straight from the result memo
     memo_hits: int = 0
-    #: queries that needed a table lookup + grid evaluation
+    #: queries that needed a table lookup or pool scoring
     memo_misses: int = 0
     #: same-batch duplicates folded into an already-scheduled grid cell
     coalesced: int = 0
@@ -58,9 +58,11 @@ class RegistryStats:
     tables_loaded: int = 0
     #: tables dropped by the LRU bound
     tables_evicted: int = 0
-    #: grid-kernel invocations issued by batch resolution
+    #: eq. (3) kernel calls issued by batch resolution: one per
+    #: resolved batch that had memo misses
     grid_calls: int = 0
-    #: total cells across those invocations
+    #: rows those calls priced: one per covered cell, one per pool
+    #: member for each cell beyond the sweep bound
     grid_cells: int = 0
 
     @property

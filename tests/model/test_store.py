@@ -69,6 +69,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="partition"):
             table_from_dict(doc)
 
+    @pytest.mark.parametrize("segment", [[7, 0], [8, -1]])
+    def test_rejects_non_partition_segments_that_sum_right(self, segment):
+        # both shapes sum to d=7; only a full partition check catches them
+        doc = table_to_dict(hull_of_optimality(7, ipsc860()), ipsc860())
+        doc["segments"][0] = segment
+        with pytest.raises(ValueError, match="corrupt table: segment .* positive"):
+            table_from_dict(doc)
+
     def test_rejects_mismatched_lengths(self, table):
         doc = table_to_dict(table, ipsc860())
         doc["boundaries"].append(500.0)
@@ -245,6 +253,22 @@ class TestShardFiles:
         path.write_bytes(prefix + new_header + pad + raw[old_payload:])
         with pytest.raises(ValueError, match="missing header field"):
             load_shard(path)
+
+    @pytest.mark.parametrize("bad", [(7, 0), (8, -1)])
+    def test_rejects_non_partition_segments_that_sum_right(self, tmp_path, bad):
+        import struct
+
+        table = OptimizerTable(
+            d=7, params_name=ipsc860().name, boundaries=(), segments=((4, 3),)
+        )
+        path = save_shard({7: table}, ipsc860(), tmp_path / "s.shard")
+        raw = path.read_bytes()
+        good = struct.pack("<qq", 4, 3)
+        assert raw.count(good) == 1
+        path.write_bytes(raw.replace(good, struct.pack("<qq", *bad)))
+        shard = load_shard(path)  # the header is intact; tables load lazily
+        with pytest.raises(ValueError, match="corrupt table: segment .* positive"):
+            shard.load(7)
 
     def test_rejects_empty_shard(self, tmp_path):
         with pytest.raises(ValueError, match="at least one"):

@@ -17,7 +17,9 @@ from repro.model.cost import multiphase_time
 from repro.model.optimizer import best_partition, best_partitions
 from repro.model.params import hypothetical, ipsc860
 from repro.model.vectorized import (
+    canonical_pools,
     grid_winners,
+    machine_coefficients,
     multiphase_time_grid,
     multiphase_time_pairs,
     pack_partitions,
@@ -207,3 +209,31 @@ class TestOverflowDomain:
         assert not np.isnan(grid).any()
         for i, p in enumerate([(7,), (4, 3)]):
             assert grid[i, 0] == multiphase_time(5e306, 7, p, ipsc)
+
+
+class TestCanonicalPools:
+    def test_each_pool_is_every_partition_sorted(self):
+        pools, starts, packed = canonical_pools(9)
+        assert packed.shape == (len(pools), 9)
+        for d in range(1, 10):
+            pool = pools[starts[d - 1] : starts[d]]
+            assert pool == tuple(sorted(cached_partitions(d)))
+            for row, partition in enumerate(pool, start=starts[d - 1]):
+                assert packed[row].tolist() == [*partition] + [0] * (9 - len(partition))
+
+    def test_shared_arrays_are_read_only(self):
+        _, starts, packed = canonical_pools(4)
+        with pytest.raises(ValueError):
+            packed[0, 0] = 2
+        with pytest.raises(ValueError):
+            starts[0] = 1
+
+
+def test_machine_coefficients_are_the_scalar_models(ipsc):
+    assert machine_coefficients(ipsc, 7) == (
+        ipsc.exchange_latency,
+        ipsc.byte_time,
+        ipsc.exchange_hop_time,
+        ipsc.permute_time,
+        ipsc.global_sync_time(7),
+    )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import socket
 
 import pytest
@@ -83,6 +84,28 @@ class TestSingleClient:
         assert wrapped["ok"] and wrapped["id"] == 3
         assert [r["partition"] for r in wrapped["results"]] == [[4, 3], [3, 2]]
         assert bare["ok"] and bare["results"][0]["source"] == "memo"
+
+
+    def test_signed_zero_block_sizes_echo_positive_zero(self, tmp_path):
+        async def scenario():
+            server = await started_server(tmp_path)
+            async with await AsyncServiceClient.connect(server.address) as client:
+                response = await client.request(
+                    {"queries": [
+                        {"preset": "ipsc860", "d": 7, "m": -0.0},
+                        {"preset": "ipsc860", "d": 7, "m": 0.0},
+                    ]}
+                )
+            await server.aclose()
+            return response
+
+        response = asyncio.run(scenario())
+        assert response["ok"]
+        assert [math.copysign(1.0, r["m"]) for r in response["results"]] == [1.0, 1.0]
+        first, second = response["results"]
+        assert (first["partition"], first["time_us"]) == (
+            second["partition"], second["time_us"]
+        )
 
 
 class TestCrossClientBatching:

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import json
+import math
+
 import pytest
 
 from repro.model.cost import multiphase_time
 from repro.model.optimizer import best_partition
 from repro.model.params import ipsc860
-from repro.service.batch import Query, QueryBatch, resolve_queries
+from repro.service.batch import Query, QueryBatch, as_query, resolve_queries
 from repro.service.registry import OptimizerRegistry
+from repro.service.server import handle_request
 
 
 @pytest.fixture()
@@ -70,15 +74,25 @@ class TestResolution:
 
 
 class TestCoalescing:
-    def test_one_grid_call_per_winning_partition(self, registry):
-        # each group's block sizes share a winner here, so each group
-        # is priced by exactly one grid call over exactly its cells
+    def test_one_kernel_call_per_batch(self, registry):
+        # three (preset, d) groups, all within the sweep bound: the
+        # whole batch is priced by one kernel call, one row per cell
         queries = [("ipsc860", 6, m) for m in (1.0, 2.0, 3.0)]
         queries += [("ipsc860", 7, m) for m in (1.0, 2.0)]
         queries += [("hypothetical", 6, 1.0)]
         resolve_queries(registry, queries)
-        assert registry.stats.grid_calls == 3
+        assert registry.stats.grid_calls == 1
         assert registry.stats.grid_cells == 6  # no cross-product waste
+
+    def test_beyond_bound_cells_cost_one_row_per_pool_member(self):
+        registry = OptimizerRegistry(m_max=100.0)
+        resolve_queries(
+            registry,
+            [("ipsc860", 7, 40.0), ("ipsc860", 7, 300.0), ("ipsc860", 5, 500.0)],
+        )
+        assert registry.stats.grid_calls == 1
+        # 1 covered row + p(7) = 15 and p(5) = 7 pool rows
+        assert registry.stats.grid_cells == 1 + 15 + 7
 
     def test_duplicates_cost_one_cell(self, registry):
         resolve_queries(registry, [("ipsc860", 6, 24.0)] * 10)
@@ -175,6 +189,38 @@ class TestCoverageBound:
         resolve_queries(serving, [("ipsc860", 7, 300.0)])
         assert serving.stats.tables_loaded == 0
         assert serving.stats.tables_built == 0
+
+
+class TestSignedZero:
+    """-0.0 and 0.0 share a memo entry and a coalescing key, so both are
+    admitted as 0.0 and neither sign leaks into the other's answer."""
+
+    def test_tuple_queries_echo_positive_zero(self, registry):
+        results = resolve_queries(
+            registry, [("ipsc860", 7, -0.0), ("ipsc860", 7, 0.0)]
+        )
+        assert [math.copysign(1.0, r.m) for r in results] == [1.0, 1.0]
+        assert results[0].partition == results[1].partition
+        assert results[0].time_us == results[1].time_us
+        assert registry.stats.coalesced == 1
+
+    def test_batch_add_and_as_query_normalize(self, registry):
+        assert math.copysign(1.0, as_query(("ipsc860", 7, -0.0)).m) == 1.0
+        batch = QueryBatch(registry)
+        batch.add("ipsc860", 7, -0.0)
+        assert math.copysign(1.0, batch.resolve()[0].m) == 1.0
+
+    def test_json_request_echoes_positive_zero(self, registry):
+        response = handle_request(
+            [
+                {"preset": "ipsc860", "d": 7, "m": -0.0},
+                {"preset": "ipsc860", "d": 7, "m": 0.0},
+            ],
+            registry,
+        )
+        line = json.dumps(response)
+        assert '"m": -0.0' not in line
+        assert [r["m"] for r in response["results"]] == [0.0, 0.0]
 
 
 class TestValidation:

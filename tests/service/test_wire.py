@@ -18,8 +18,9 @@ import pytest
 
 from repro.service import wire
 from repro.service.async_server import LatencyHistogram
-from repro.service.batch import QueryResult, queries_from_arrays
+from repro.service.batch import QueryResult, queries_from_arrays, resolve_queries
 from repro.service.client import AsyncServiceClient
+from repro.service.registry import OptimizerRegistry
 from tests.service.protocol_cases import (
     BINARY_CASE_IDS,
     BINARY_ERROR_CASES,
@@ -139,6 +140,11 @@ class TestQueriesFromArrays:
         assert [(q.preset, q.d, q.m) for q in queries] == [
             ("ipsc860", 7, 40.0), ("hypothetical", 5, 0.0),
         ]
+
+    def test_negative_zero_admitted_as_positive_zero(self):
+        records = wire.make_query_records([(0, 7, -0.0), (0, 7, 0.0)])
+        queries = queries_from_arrays(["ipsc860"], records)
+        assert [math.copysign(1.0, q.m) for q in queries] == [1.0, 1.0]
 
     @pytest.mark.parametrize(
         ("spec", "needle"),
@@ -404,6 +410,23 @@ class TestBinaryAnswersMatchJson:
             assert b["time_us"] == j["time_us"]
             assert b["source"] == j["source"]
             assert b["preset"] == j["preset"]
+
+    def test_signed_zero_answers_equal_the_zero_answer(self, tmp_path):
+        async def scenario():
+            server = await started_server(tmp_path, default_preset="ipsc860")
+            async with await AsyncServiceClient.connect(
+                server.address, wire="binary"
+            ) as client:
+                responses = await client.query_many([(7, -0.0), (7, 0.0)])
+            await server.aclose()
+            return responses
+
+        negative, positive = asyncio.run(scenario())
+        expected = resolve_queries(OptimizerRegistry(), [("ipsc860", 7, 0.0)])[0]
+        for doc in (negative, positive):
+            assert doc["ok"]
+            assert tuple(doc["partition"]) == expected.partition
+            assert doc["time_us"] == expected.time_us
 
     def test_distinct_unsorted_queries_keep_request_order(self, tmp_path):
         """All-distinct frames tempt the server to skip the dedup
