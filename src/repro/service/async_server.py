@@ -29,12 +29,12 @@ uses — what the socket transport adds is *concurrency*:
   binary protocol of :mod:`repro.service.wire`: a ``HELLO`` exchange
   carries the auth token and returns the preset catalog, then packed
   ``(preset_id, d, m)`` query frames answer with contiguous float64
-  time arrays plus provenance codes.  Query frames are deduplicated
-  with :func:`numpy.unique` and validated column-wise
-  (:func:`~repro.service.batch.queries_from_arrays`), so the Python
-  object work per frame is proportional to *distinct* cells, not
-  queries.  Any other first bytes fall back to the JSON-lines
-  transport byte-for-byte unchanged;
+  time arrays plus provenance codes.  A query frame stays columns from
+  the wire record to the reply: it is validated column-wise
+  (:func:`~repro.service.batch.queries_from_arrays`), its records
+  probe the memo and its answers are gathered and encoded as arrays,
+  with no Python object per query.  Any other first bytes fall back to
+  the JSON-lines transport byte-for-byte unchanged;
 * **graceful drain** — :meth:`AsyncOptimizerServer.aclose` (also
   triggered by the socket-only ``{"op": "shutdown"}`` request and by
   SIGINT/SIGTERM under :func:`run_server`) stops accepting, stops
@@ -79,9 +79,11 @@ import numpy as np
 from repro.service import wire
 from repro.service.batch import (
     Query,
-    QueryResult,
+    ResultColumns,
     check_query_values,
     queries_from_arrays,
+    query_results,
+    records_from_queries,
     resolve_queries,
 )
 from repro.service.client import Address, parse_address
@@ -224,8 +226,9 @@ class ServerStats:
     flushes_size: int = 0
     flushes_drain: int = 0
     flushes_timer: int = 0
-    #: queries resolved through the batcher, requests they came from,
-    #: and the largest single flush (cross-client occupancy high-water)
+    #: queries resolved through the batcher, counted as they arrived on
+    #: the wire (repeats included), requests they came from, and the
+    #: largest single flush (cross-client occupancy high-water)
     batched_queries: int = 0
     batched_requests: int = 0
     peak_batch_queries: int = 0
@@ -238,7 +241,8 @@ class ServerStats:
 
     @property
     def mean_batch_queries(self) -> float:
-        """Average flush occupancy (queries per coalesced resolver pass)."""
+        """Average flush occupancy: wire queries per coalesced
+        resolver pass."""
         return self.batched_queries / self.batches if self.batches else 0.0
 
     @property
@@ -282,9 +286,13 @@ class ServerStats:
 class _MicroBatcher:
     """Coalesce concurrently pending queries into one resolver pass.
 
-    Submissions accumulate until one of three triggers flushes them all
-    through a single :func:`resolve_queries` call, which prices every
-    memo miss of the flush with one call of the eq. (3) kernel:
+    Each submission is one request's admitted
+    :data:`~repro.service.wire.QUERY_DTYPE` records.  Submissions
+    accumulate until one of three triggers flushes them all: their
+    records are concatenated into a single :func:`resolve_queries`
+    call, which prices every memo miss of the flush with one call of
+    the eq. (3) kernel, and each request's future gets its own slice
+    of the :class:`~repro.service.batch.ResultColumns`:
 
     ``size``
         the pending pool reached ``max_batch`` queries;
@@ -316,7 +324,7 @@ class _MicroBatcher:
         self._stats = stats
         self._max_batch = max_batch
         self._hold_s = hold_s
-        self._pending: list[tuple[list[Query], asyncio.Future]] = []
+        self._pending: list[tuple[np.ndarray, asyncio.Future]] = []
         self._pending_queries = 0
         self._scheduled: asyncio.TimerHandle | asyncio.Handle | None = None
 
@@ -326,12 +334,12 @@ class _MicroBatcher:
         ``shed_queries`` admission control watches."""
         return self._pending_queries
 
-    def submit(self, queries: list[Query]) -> "asyncio.Future[list[QueryResult]]":
-        """Queue one request's queries; the future resolves at flush."""
+    def submit(self, records: np.ndarray) -> "asyncio.Future[ResultColumns]":
+        """Queue one request's records; the future resolves at flush."""
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
-        self._pending.append((queries, future))
-        self._pending_queries += len(queries)
+        self._pending.append((records, future))
+        self._pending_queries += len(records)
         if self._pending_queries >= self._max_batch:
             self.flush("size")
         elif self._scheduled is None:
@@ -360,10 +368,11 @@ class _MicroBatcher:
         stats.batched_requests += len(pending)
         stats.peak_batch_queries = max(stats.peak_batch_queries, n_queries)
         setattr(stats, f"flushes_{reason}", getattr(stats, f"flushes_{reason}") + 1)
-        flat = [query for queries, _ in pending for query in queries]
         try:
-            # every query passed _admit_query, so skip re-normalization
-            results = resolve_queries(self._registry, flat, pre_normalized=True)
+            # every record passed admission
+            results = resolve_queries(
+                self._registry, np.concatenate([records for records, _ in pending])
+            )
         except Exception as exc:  # pre-validated queries: only infrastructure
             # failures (e.g. a shard file going bad mid-serving) land here;
             # every waiter gets the error instead of the whole server dying
@@ -374,9 +383,9 @@ class _MicroBatcher:
                     )
             return
         offset = 0
-        for queries, future in pending:
-            chunk = results[offset : offset + len(queries)]
-            offset += len(queries)
+        for records, future in pending:
+            chunk = results[offset : offset + len(records)]
+            offset += len(records)
             if not future.done():
                 future.set_result(chunk)
 
@@ -758,7 +767,7 @@ class AsyncOptimizerServer:
         nbytes: int,
     ) -> None:
         """Admit one ``OP_QUERY`` frame: decode, shed-check, validate
-        column-wise, deduplicate, and enter the shared micro-batch."""
+        column-wise, and enter the shared micro-batch."""
         try:
             records = wire.decode_query_payload(payload)
         except WireError as exc:
@@ -778,11 +787,7 @@ class AsyncOptimizerServer:
             ), True, t0, nbytes))
             return
         try:
-            # within-frame dedup: Query construction and memo probing
-            # cost one pass over *distinct* cells; the writer scatters
-            # results back to request order through the inverse
-            unique, inverse = np.unique(records, return_inverse=True)
-            queries = queries_from_arrays(catalog, unique)
+            records = queries_from_arrays(catalog, records)
         except (TypeError, ValueError, OverflowError) as exc:
             enqueue(("frame", error_frame(str(exc)), True, t0, nbytes))
             return
@@ -791,15 +796,7 @@ class AsyncOptimizerServer:
                 f"internal server error: {exc}"
             ), True, t0, nbytes))
             return
-        # np.unique sorts, so results come back in *cell* order; the
-        # writer needs the inverse to restore request order unless the
-        # frame already was sorted-and-distinct (then inverse is the
-        # identity and the scatter can be skipped)
-        identity = len(unique) == len(records) and bool(
-            np.array_equal(inverse, np.arange(len(records)))
-        )
-        scatter = None if identity else inverse
-        enqueue(("bquery", self._batcher.submit(queries), scatter, t0, nbytes))
+        enqueue(("bquery", self._batcher.submit(records), t0, nbytes))
 
     # ------------------------------------------------------------------
     # shared admission plumbing
@@ -883,8 +880,8 @@ class AsyncOptimizerServer:
     ) -> None:
         """Admit one request line without yielding: immediate responses
         enqueue as ``("done", doc, t0, nbytes)``, query requests enter
-        the shared micro-batch and enqueue as
-        ``("query", kind, id, future, t0, nbytes)``."""
+        the shared micro-batch as records and enqueue as
+        ``("query", kind, id, queries, future, t0, nbytes)``."""
         self._count_admitted(nbytes)
         try:
             obj = json.loads(text)
@@ -933,6 +930,7 @@ class AsyncOptimizerServer:
             # client's bad query must never poison a flush that carries
             # other clients' requests
             normalized = [self._admit_query(query) for query in queries]
+            records = records_from_queries(self.registry, normalized)
         except (TypeError, ValueError, OverflowError) as exc:
             enqueue(("done", error_response(exc, request_id), t0, nbytes))
             return
@@ -940,7 +938,10 @@ class AsyncOptimizerServer:
             # answers in-band and keeps serving rather than dying
             enqueue(("done", self._internal_error(exc, request_id), t0, nbytes))
             return
-        enqueue(("query", kind, request_id, self._batcher.submit(normalized), t0, nbytes))
+        enqueue((
+            "query", kind, request_id, normalized, self._batcher.submit(records),
+            t0, nbytes,
+        ))
 
     def _admit_query(self, query: Query) -> Query:
         """The :func:`~repro.service.batch.as_query` checks, applied in
@@ -991,9 +992,11 @@ class AsyncOptimizerServer:
                 is_error = not doc.get("ok", True)
                 out = json.dumps(doc).encode() + b"\n"
             elif tag == "query":
-                _, kind, request_id, future, _, _ = item
+                _, kind, request_id, queries, future, _, _ = item
                 try:
-                    doc = build_response(kind, await future, request_id)
+                    doc = build_response(
+                        kind, query_results(queries, await future), request_id
+                    )
                 except Exception as exc:  # noqa: BLE001 — see _admit_line
                     doc = self._internal_error(exc, request_id)
                 is_error = not doc.get("ok", True)
@@ -1001,11 +1004,9 @@ class AsyncOptimizerServer:
             elif tag == "frame":
                 out, is_error = item[1], item[2]
             else:  # "bquery": a binary query's resolved future
-                _, future, scatter, _, _ = item
+                _, future, _, _ = item
                 try:
-                    out = pack_frame(
-                        OP_RESULT, wire.encode_results(await future, scatter)
-                    )
+                    out = pack_frame(OP_RESULT, wire.encode_results(await future))
                 except Exception as exc:  # noqa: BLE001 — see _admit_line
                     out = error_frame(f"internal server error: {exc}")
                     is_error = True

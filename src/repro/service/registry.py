@@ -12,7 +12,10 @@ arbitrary traffic:
   re-swept;
 * a **result memo** (``memo_capacity``) over resolved
   ``(preset, d, m)`` queries, so repeat lookups skip both the table
-  bisect and the grid call entirely.
+  bisect and the grid call entirely.  It is a :class:`SlotMemo`: an
+  LRU map from the query's 12-byte wire record to a slot of answer
+  columns, whose partitions are ids into the registry-wide
+  :class:`PartitionCatalog`, so a hit is answered by array gathers.
 
 Every interaction is counted in :class:`RegistryStats`, which the
 JSON-lines server reports in-band (``{"op": "stats"}``) and the CLI
@@ -26,11 +29,21 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
+import numpy as np
+
 from repro.model.optimizer import OptimizerTable, hull_of_optimality
 from repro.model.params import PRESETS, MachineParams
 from repro.model.store import ShardFile, load_shard, save_shard
+from repro.util.validation import MAX_DIMENSION
 
-__all__ = ["DEFAULT_DIMS", "OptimizerRegistry", "RegistryStats", "SHARD_SUFFIX"]
+__all__ = [
+    "DEFAULT_DIMS",
+    "OptimizerRegistry",
+    "PartitionCatalog",
+    "RegistryStats",
+    "SHARD_SUFFIX",
+    "SlotMemo",
+]
 
 #: dimensions precomputed/sharded by default — the paper's figure range
 #: plus the neighbouring cubes a library is likely to be asked about
@@ -44,13 +57,15 @@ SHARD_SUFFIX = ".shard"
 class RegistryStats:
     """Counters for one registry's lifetime."""
 
-    #: individual queries seen by :func:`repro.service.batch.resolve_queries`
+    #: queries seen by :func:`repro.service.batch.resolve_queries`, one
+    #: per query as sent: repeats inside a batch count each time
     queries: int = 0
-    #: queries answered straight from the result memo
+    #: queries answered straight from the result memo, repeats included
     memo_hits: int = 0
     #: queries that needed a table lookup or pool scoring
     memo_misses: int = 0
-    #: same-batch duplicates folded into an already-scheduled grid cell
+    #: misses that repeat a cell already missed in the same batch, so
+    #: they share its priced answer: ``memo_misses`` minus distinct cells
     coalesced: int = 0
     #: tables swept from scratch (no shard held them)
     tables_built: int = 0
@@ -59,7 +74,8 @@ class RegistryStats:
     #: tables dropped by the LRU bound
     tables_evicted: int = 0
     #: eq. (3) kernel calls issued by batch resolution: one per
-    #: resolved batch that had memo misses
+    #: resolved batch that had memo misses, or one per row-budget chunk
+    #: of a batch too large for one call
     grid_calls: int = 0
     #: rows those calls priced: one per covered cell, one per pool
     #: member for each cell beyond the sweep bound
@@ -84,6 +100,112 @@ class RegistryStats:
             "grid_calls": self.grid_calls,
             "grid_cells": self.grid_cells,
         }
+
+
+class PartitionCatalog:
+    """Every partition a registry has answered with, interned once.
+
+    A partition's id indexes ``lengths`` (its phase count) and ``rows``
+    (its parts, zero-padded to :data:`MAX_DIMENSION` columns), so an
+    encoder turns a column of ids into wire bytes with two gathers.
+    The catalog only grows, so an id stays valid for the registry's
+    lifetime; ``partitions`` holds the tuples for the object API.
+    """
+
+    def __init__(self) -> None:
+        self.partitions: list[tuple[int, ...]] = []
+        self.lengths = np.zeros(0, dtype=np.uint8)
+        self.rows = np.zeros((0, MAX_DIMENSION), dtype=np.uint8)
+        self._ids: dict[tuple[int, ...], int] = {}
+
+    def intern(self, partition: tuple[int, ...]) -> int:
+        """The id of ``partition``, adding it on first sight."""
+        pid = self._ids.get(partition)
+        if pid is not None:
+            return pid
+        pid = len(self.partitions)
+        if pid == len(self.lengths):
+            grow = max(16, pid)
+            self.lengths = np.concatenate([self.lengths, np.zeros(grow, np.uint8)])
+            self.rows = np.concatenate(
+                [self.rows, np.zeros((grow, MAX_DIMENSION), np.uint8)]
+            )
+        self.lengths[pid] = len(partition)
+        self.rows[pid, : len(partition)] = partition
+        self.partitions.append(partition)
+        self._ids[partition] = pid
+        return pid
+
+
+class SlotMemo:
+    """Bounded LRU result memo whose answers live in columns.
+
+    ``slots`` maps a key (a normalized 12-byte
+    :data:`~repro.service.wire.QUERY_DTYPE` record) to a slot; the
+    answer is ``time_us[slot]`` and ``part_id[slot]`` (an id into the
+    registry's :class:`PartitionCatalog`).  An evicted key's slot is
+    reused by the key that evicted it, so the columns never exceed
+    ``capacity``; they grow as the memo fills rather than up front.
+
+    >>> memo = SlotMemo(2)
+    >>> memo.put([b"a", b"b"], [1.0, 2.0], [0, 1])
+    >>> memo.probe([b"a", b"z"])
+    [0, -1]
+    >>> memo.put([b"c"], [3.0], [2])  # evicts b, the least recently used
+    >>> sorted(memo.slots)
+    [b'a', b'c']
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self.slots: OrderedDict[bytes, int] = OrderedDict()
+        self.time_us = np.zeros(0, dtype=np.float64)
+        self.part_id = np.zeros(0, dtype=np.int32)
+
+    def __len__(self) -> int:
+        return len(self.slots)
+
+    def probe(self, keys: list[bytes]) -> list[int]:
+        """Each key's slot, ``-1`` for a miss; every hit becomes the
+        most recently used entry."""
+        get, touch = self.slots.get, self.slots.move_to_end
+        out = []
+        for key in keys:
+            slot = get(key, -1)
+            if slot >= 0:
+                touch(key)
+            out.append(slot)
+        return out
+
+    def put(self, keys: Sequence[bytes], time_us, part_id) -> None:
+        """Store one answer per distinct key, as the most recently used
+        entries, evicting the least recently used beyond ``capacity``.
+        A key already present is updated in place."""
+        # of more new entries than fit, only the last ``capacity`` would
+        # survive their own insertion
+        skip = max(0, len(keys) - self.capacity)
+        keys = keys[skip:]
+        if not keys:
+            return
+        slots = self.slots
+        size = min(self.capacity, len(slots) + len(keys))
+        if size > len(self.time_us):
+            grow = min(self.capacity, max(size, 2 * len(self.time_us), 64))
+            self.time_us = np.resize(self.time_us, grow)
+            self.part_id = np.resize(self.part_id, grow)
+        out = np.empty(len(keys), dtype=np.intp)
+        for i, key in enumerate(keys):
+            slot = slots.get(key)
+            if slot is not None:
+                slots.move_to_end(key)
+            elif len(slots) < self.capacity:
+                slot = slots[key] = len(slots)
+            else:
+                _, slot = slots.popitem(last=False)
+                slots[key] = slot
+            out[i] = slot
+        self.time_us[out] = np.asarray(time_us)[skip:]
+        self.part_id[out] = np.asarray(part_id)[skip:]
 
 
 def _normalize_presets(
@@ -126,11 +248,15 @@ class OptimizerRegistry:
         self._presets = _normalize_presets(presets)
         self._shards: dict[str, ShardFile] = {}
         self._tables: OrderedDict[tuple[str, int], OptimizerTable] = OrderedDict()
-        self._memo: OrderedDict[
-            tuple[str, int, float], tuple[tuple[int, ...], float]
-        ] = OrderedDict()
+        #: the result memo, and the partitions its answers point into
+        self.memo = SlotMemo(self.memo_capacity)
+        self.partitions = PartitionCatalog()
         if shard_dir is not None:
             self._attach_shard_dir(Path(shard_dir))
+        # the preset catalog is fixed from here on: a memo key's preset
+        # field is an index into it
+        self._preset_names = tuple(sorted(self._presets))
+        self._preset_ids = {name: i for i, name in enumerate(self._preset_names)}
 
     # ------------------------------------------------------------------
     # presets and shards
@@ -165,8 +291,17 @@ class OptimizerRegistry:
 
     @property
     def preset_names(self) -> tuple[str, ...]:
-        """Presets this registry can answer for, sorted."""
-        return tuple(sorted(self._presets))
+        """Presets this registry can answer for, sorted: the catalog
+        whose indices the binary wire and the memo keys carry."""
+        return self._preset_names
+
+    def preset_id(self, preset: str) -> int:
+        """The index of ``preset`` in :attr:`preset_names`."""
+        try:
+            return self._preset_ids[preset]
+        except KeyError:
+            self.params(preset)  # raises the unknown-preset error
+            raise
 
     def params(self, preset: str) -> MachineParams:
         """The calibration behind ``preset``."""
@@ -234,27 +369,6 @@ class OptimizerRegistry:
         if shard is not None and int(d) in shard:
             return shard.m_max if shard.m_max is not None else 0.0
         return self.m_max
-
-    # ------------------------------------------------------------------
-    # result memo
-    # ------------------------------------------------------------------
-    def memo_get(
-        self, key: tuple[str, int, float]
-    ) -> tuple[tuple[int, ...], float] | None:
-        entry = self._memo.get(key)
-        if entry is not None:
-            self._memo.move_to_end(key)
-        return entry
-
-    def memo_put(
-        self, key: tuple[str, int, float], value: tuple[tuple[int, ...], float]
-    ) -> None:
-        if self.memo_capacity == 0:
-            return
-        self._memo[key] = value
-        self._memo.move_to_end(key)
-        while len(self._memo) > self.memo_capacity:
-            self._memo.popitem(last=False)
 
     # ------------------------------------------------------------------
     # queries

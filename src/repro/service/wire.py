@@ -2,11 +2,11 @@
 
 JSON-lines framing is friendly but it is also the socket transport's
 remaining tax: every query round-trips through ``json.loads`` /
-``json.dumps`` and a per-query Python dict even though the batcher
-already normalizes queries into exactly the numpy buffers
-:func:`repro.service.batch.resolve_queries` consumes.  This module is
-the lean alternative — struct-packed query arrays in, contiguous
-float64 answer arrays plus provenance codes out — and it is the single
+``json.dumps`` and a per-query Python dict.  This module is the lean
+alternative — struct-packed query records in, which
+:func:`repro.service.batch.resolve_queries` answers as columns with no
+per-query object, and contiguous float64 answer arrays plus provenance
+codes out — and it is the single
 source of truth for every frame constant: the server and both clients
 import the magic, version, opcodes, and record layouts from here (the
 ``protocol-drift`` rule of :mod:`repro.check.rules` flags any
@@ -95,7 +95,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.service.batch import QueryResult
+    from repro.service.batch import ResultColumns
 
 __all__ = [
     "HEADER",
@@ -379,52 +379,22 @@ def decode_query_payload(payload: bytes) -> np.ndarray:
 # ----------------------------------------------------------------------
 # result payload codec
 # ----------------------------------------------------------------------
-def encode_results(
-    results: Sequence["QueryResult"], inverse: np.ndarray | None = None
-) -> bytes:
-    """The ``OP_RESULT`` payload for resolved queries.
+def encode_results(results: "ResultColumns") -> bytes:
+    """The ``OP_RESULT`` payload for resolved answer columns.
 
-    ``inverse`` (from ``np.unique(..., return_inverse=True)``) expands
-    deduplicated results back to the request's query order entirely in
-    numpy — the per-Python-object work stays proportional to the
-    number of *distinct* cells, not the number of queries.
+    Partitions are gathered from the registry's catalog by id: one
+    gather for the phase counts, one for the zero-padded part rows.
+    Every part is >= 1, so the rows' non-zero entries, in row-major
+    order, are the parts of each answer in query order.
     """
-    n = len(results)
-    times = np.fromiter((r.time_us for r in results), dtype="<f8", count=n)
-    sources = np.fromiter(
-        (SOURCE_CODES[r.source] for r in results), dtype=np.uint8, count=n
-    )
-    nparts = np.fromiter(
-        (len(r.partition) for r in results), dtype=np.uint8, count=n
-    )
-    total = int(nparts.sum())
-    parts = np.fromiter(
-        (part for r in results for part in r.partition), dtype=np.uint8, count=total
-    )
-    if inverse is not None:
-        inverse = np.asarray(inverse).reshape(-1)
-        starts = np.zeros(n, dtype=np.int64)
-        if n > 1:
-            np.cumsum(nparts[:-1], out=starts[1:])
-        # int64 throughout: uint8 counts would promote the index math
-        # to float64 (int64 - uint64) and break fancy indexing
-        out_nparts = nparts[inverse].astype(np.int64)
-        out_total = int(out_nparts.sum())
-        # absolute index of every expanded part: each output query
-        # copies its unique cell's slice of the parts array
-        base = np.repeat(starts[inverse], out_nparts)
-        ends = np.cumsum(out_nparts)
-        within = np.arange(out_total, dtype=np.int64) - np.repeat(
-            ends - out_nparts, out_nparts
-        )
-        times = times[inverse]
-        sources = sources[inverse]
-        parts = parts[base + within]
-        nparts = out_nparts.astype(np.uint8)
+    catalog = results.partitions
+    nparts = catalog.lengths.take(results.part_id)
+    rows = catalog.rows.take(results.part_id, axis=0)
+    parts = rows[rows > 0]
     return b"".join((
-        _RESULT_COUNT.pack(len(times)),
-        times.tobytes(),
-        sources.tobytes(),
+        _RESULT_COUNT.pack(len(nparts)),
+        results.time_us.astype("<f8", copy=False).tobytes(),
+        results.source.astype(np.uint8, copy=False).tobytes(),
         nparts.tobytes(),
         parts.tobytes(),
     ))
@@ -457,6 +427,11 @@ def decode_result_payload(
     total = int(nparts.sum())
     if len(payload) < offset + total:
         raise WireError("result payload truncates its partition section")
+    if len(payload) > offset + total:
+        raise WireError(
+            f"result payload runs {len(payload) - offset - total} bytes past "
+            f"its partition section"
+        )
     parts = np.frombuffer(payload, dtype=np.uint8, count=total, offset=offset)
     if codes.size and int(codes.max()) >= len(SOURCE_NAMES):
         raise WireError(f"unknown source code {int(codes.max())}")

@@ -247,4 +247,4 @@ class TestValidation:
             )
         assert registry.stats.queries == 0
         assert registry.stats.grid_calls == 0
-        assert registry.memo_get(("ipsc860", 6, 24.0)) is None
+        assert len(registry.memo) == 0

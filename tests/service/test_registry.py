@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.model.optimizer import hull_of_optimality
 from repro.model.params import hypothetical, ipsc860
-from repro.service.registry import DEFAULT_DIMS, OptimizerRegistry
+from repro.service import wire
+from repro.service.registry import (
+    DEFAULT_DIMS,
+    OptimizerRegistry,
+    PartitionCatalog,
+    SlotMemo,
+)
 
 
 @pytest.fixture()
@@ -162,6 +169,94 @@ class TestMemo:
         registry.resolve([("ipsc860", 6, 24.0)])
         registry.resolve([("ipsc860", 6, 32.0)])  # evicts the 24.0 entry
         assert registry.resolve([("ipsc860", 6, 24.0)])[0].source == "grid"
+
+
+class TestSlotMemo:
+    def test_least_recently_touched_key_is_evicted_first(self):
+        memo = SlotMemo(3)
+        memo.put([b"a", b"b", b"c"], [1.0, 2.0, 3.0], [10, 20, 30])
+        assert memo.probe([b"a"]) == [0]  # a is now the most recent
+        memo.put([b"d"], [4.0], [40])  # evicts b, not a
+        assert list(memo.slots) == [b"c", b"a", b"d"]
+        assert memo.probe([b"b"]) == [-1]
+        # d reused b's slot; every answer still belongs to its own key
+        answers = {
+            key: (memo.time_us[slot], memo.part_id[slot])
+            for key, slot in memo.slots.items()
+        }
+        assert answers == {b"a": (1.0, 10), b"c": (3.0, 30), b"d": (4.0, 40)}
+
+    def test_repeated_put_updates_in_place(self):
+        memo = SlotMemo(4)
+        memo.put([b"a", b"b"], [1.0, 2.0], [1, 2])
+        memo.put([b"a"], [5.0], [7])
+        assert len(memo) == 2
+        (slot,) = memo.probe([b"a"])
+        assert (memo.time_us[slot], memo.part_id[slot]) == (5.0, 7)
+        assert list(memo.slots) == [b"b", b"a"]
+
+    def test_put_of_more_keys_than_capacity_keeps_the_last(self):
+        memo = SlotMemo(2)
+        memo.put([b"x"], [9.0], [9])
+        memo.put([b"a", b"b", b"c"], [1.0, 2.0, 3.0], [1, 2, 3])
+        assert list(memo.slots) == [b"b", b"c"]
+        assert [memo.time_us[s] for s in memo.probe([b"b", b"c"])] == [2.0, 3.0]
+
+    def test_capacity_zero_stores_nothing(self):
+        memo = SlotMemo(0)
+        memo.put([b"a"], [1.0], [1])
+        assert len(memo) == 0 and memo.probe([b"a"]) == [-1]
+        registry = OptimizerRegistry(memo_capacity=0)
+        registry.resolve([("ipsc860", 6, 24.0), ("ipsc860", 6, 32.0)])
+        assert len(registry.memo) == 0 and len(registry.memo.time_us) == 0
+
+    def test_columns_grow_with_use_not_capacity(self):
+        registry = OptimizerRegistry(memo_capacity=65536)
+        assert len(registry.memo.time_us) == 0
+        registry.resolve([("ipsc860", 6, float(m)) for m in range(3)])
+        assert 3 <= len(registry.memo.time_us) < 65536
+
+    @pytest.mark.parametrize("capacity", [1, 2])
+    def test_hit_survives_misses_that_evict_its_slot(self, capacity):
+        """A flush that hits A, then misses more cells than the memo
+        holds, evicts A's slot and hands it to a miss; A must still get
+        its own answer."""
+        registry = OptimizerRegistry(memo_capacity=capacity)
+        (first,) = registry.resolve([("ipsc860", 7, 40.0)])
+        misses = [("ipsc860", 5, 300.0 + k) for k in range(capacity + 2)]
+        results = registry.resolve([("ipsc860", 7, 40.0), *misses])
+        assert results[0].source == "memo"
+        assert (results[0].partition, results[0].time_us) == (
+            first.partition, first.time_us,
+        )
+        fresh = OptimizerRegistry().resolve(misses)
+        assert [(r.partition, r.time_us) for r in results[1:]] == [
+            (r.partition, r.time_us) for r in fresh
+        ]
+        # the same through the columnar core
+        registry = OptimizerRegistry(memo_capacity=capacity)
+        records = wire.make_query_records(
+            [(1, 7, 40.0)] + [(1, d, m) for _, d, m in misses]
+        )
+        registry.resolve(records[:1])
+        columns = registry.resolve(records)
+        assert columns.time_us[0] == first.time_us
+        assert registry.partitions.partitions[columns.part_id[0]] == first.partition
+        assert columns.source.tolist() == [0] + [1] * len(misses)
+
+
+class TestPartitionCatalog:
+    def test_intern_is_stable_and_pads_rows(self):
+        catalog = PartitionCatalog()
+        ids = [catalog.intern(p) for p in [(4, 3), (5,), (4, 3), (1,) * 24]]
+        assert ids == [0, 1, 0, 2]
+        assert catalog.lengths[:3].tolist() == [2, 1, 24]
+        assert catalog.rows[0].tolist() == [4, 3] + [0] * 22
+        assert catalog.rows[2].tolist() == [1] * 24
+        for k in range(40):  # growth keeps earlier rows
+            catalog.intern((k + 1, 1))
+        assert catalog.partitions[1] == (5,)
+        assert np.array_equal(catalog.rows[1, :2], [5, 0])
 
 
 class TestDefaults:

@@ -16,11 +16,11 @@ import random
 import numpy as np
 import pytest
 
-from repro.service import wire
+from repro.service import batch, wire
 from repro.service.async_server import LatencyHistogram
-from repro.service.batch import QueryResult, queries_from_arrays, resolve_queries
+from repro.service.batch import ResultColumns, queries_from_arrays, resolve_queries
 from repro.service.client import AsyncServiceClient
-from repro.service.registry import OptimizerRegistry
+from repro.service.registry import OptimizerRegistry, PartitionCatalog
 from tests.service.protocol_cases import (
     BINARY_CASE_IDS,
     BINARY_ERROR_CASES,
@@ -34,6 +34,17 @@ from tests.service.test_async_server import started_server
 # ----------------------------------------------------------------------
 # codec units (no sockets)
 # ----------------------------------------------------------------------
+def result_columns(answers):
+    """ResultColumns for ``(time_us, source, partition)`` triples."""
+    catalog = PartitionCatalog()
+    return ResultColumns(
+        np.array([t for t, _, _ in answers], dtype=np.float64),
+        np.array([wire.SOURCE_CODES[s] for _, s, _ in answers], dtype=np.uint8),
+        np.array([catalog.intern(p) for _, _, p in answers], dtype=np.int32),
+        catalog,
+    )
+
+
 class TestFrameCodec:
     def test_header_roundtrip(self):
         frame = wire.pack_frame(wire.OP_QUERY, b"abc")
@@ -74,46 +85,55 @@ class TestFrameCodec:
             wire.decode_query_payload(b"\x01\x02\x03")
 
     def test_results_roundtrip(self):
-        results = [
-            QueryResult("ipsc860", 7, 40.0, (4, 3), 16097.32, "grid"),
-            QueryResult("ipsc860", 5, 10.0, (5,), 123.0, "memo"),
-            QueryResult("ipsc860", 6, 999.0, (3, 2, 1), 7.5, "pool"),
-        ]
+        columns = result_columns([
+            (16097.32, "grid", (4, 3)),
+            (123.0, "memo", (5,)),
+            (7.5, "pool", (3, 2, 1)),
+        ])
         times, sources, partitions = wire.decode_result_payload(
-            wire.encode_results(results)
+            wire.encode_results(columns)
         )
         assert times.tolist() == [16097.32, 123.0, 7.5]
         assert sources == ["grid", "memo", "pool"]
         assert partitions == [(4, 3), (5,), (3, 2, 1)]
 
-    def test_results_scatter_through_inverse(self):
-        """Deduplicated results expand back to request order exactly."""
-        unique = [
-            QueryResult("ipsc860", 5, 40.0, (3, 2), 1.5, "grid"),
-            QueryResult("ipsc860", 7, 40.0, (4, 3), 2.5, "grid"),
-        ]
-        inverse = np.array([1, 0, 1, 1, 0])
+    def test_repeated_partition_ids_expand_in_query_order(self):
+        """Answers sharing an interned partition each carry its parts,
+        in query order."""
+        columns = result_columns([
+            (2.5, "grid", (4, 3)),
+            (1.5, "grid", (3, 2)),
+            (2.5, "memo", (4, 3)),
+            (2.5, "memo", (4, 3)),
+            (1.5, "memo", (3, 2)),
+        ])
+        assert columns.part_id.tolist() == [0, 1, 0, 0, 1]
         times, sources, partitions = wire.decode_result_payload(
-            wire.encode_results(unique, inverse)
+            wire.encode_results(columns)
         )
         assert times.tolist() == [2.5, 1.5, 2.5, 2.5, 1.5]
         assert partitions == [(4, 3), (3, 2), (4, 3), (4, 3), (3, 2)]
-        assert sources == ["grid"] * 5
+        assert sources == ["grid", "grid", "memo", "memo", "memo"]
 
     def test_empty_results(self):
         times, sources, partitions = wire.decode_result_payload(
-            wire.encode_results([])
+            wire.encode_results(result_columns([]))
         )
         assert times.size == 0 and sources == [] and partitions == []
 
     def test_truncated_result_payload_rejected(self):
-        payload = wire.encode_results(
-            [QueryResult("ipsc860", 7, 40.0, (4, 3), 1.0, "grid")]
-        )
+        payload = wire.encode_results(result_columns([(1.0, "grid", (4, 3))]))
         with pytest.raises(wire.WireError):
             wire.decode_result_payload(payload[:-1])
         with pytest.raises(wire.WireError):
             wire.decode_result_payload(payload[:3])
+
+    @pytest.mark.parametrize("extra", [b"\x07", b"\x07\x07\x07", bytes(9)])
+    def test_trailing_result_bytes_rejected(self, extra):
+        for answers in ([(1.0, "grid", (4, 3))], []):
+            payload = wire.encode_results(result_columns(answers))
+            with pytest.raises(wire.WireError, match="past its partition section"):
+                wire.decode_result_payload(payload + extra)
 
     def test_hello_payloads_roundtrip(self):
         assert wire.parse_hello(wire.hello_payload("tok")) == "tok"
@@ -134,17 +154,29 @@ class TestFrameCodec:
 
 
 class TestQueriesFromArrays:
-    def test_catalog_indices_map_to_preset_names(self):
-        records = wire.make_query_records([(1, 7, 40.0), (0, 5, 0.0)])
-        queries = queries_from_arrays(["hypothetical", "ipsc860"], records)
-        assert [(q.preset, q.d, q.m) for q in queries] == [
-            ("ipsc860", 7, 40.0), ("hypothetical", 5, 0.0),
-        ]
+    def test_valid_records_pass_unchanged(self):
+        specs = [(1, 7, 40.0), (0, 5, 0.0), (1, 24, 5e306), (0, 1, 0.25)]
+        payload = wire.encode_query_records(wire.make_query_records(specs))
+        records = queries_from_arrays(
+            ["hypothetical", "ipsc860"], wire.decode_query_payload(payload)
+        )
+        assert records.dtype == wire.QUERY_DTYPE
+        assert records.tobytes() == payload
 
     def test_negative_zero_admitted_as_positive_zero(self):
-        records = wire.make_query_records([(0, 7, -0.0), (0, 7, 0.0)])
-        queries = queries_from_arrays(["ipsc860"], records)
-        assert [math.copysign(1.0, q.m) for q in queries] == [1.0, 1.0]
+        payload = wire.encode_query_records(
+            wire.make_query_records([(0, 7, -0.0), (0, 7, 0.0)])
+        )
+        received = wire.decode_query_payload(payload)  # a read-only view
+        records = queries_from_arrays(["ipsc860"], received)
+        assert [math.copysign(1.0, m) for m in records["m"].tolist()] == [1.0, 1.0]
+        # the same 12 bytes, so one memo key
+        assert records[0].tobytes() == records[1].tobytes()
+        assert received.tobytes() == payload  # the frame is left as sent
+
+    def test_wrong_dtype_rejected(self):
+        with pytest.raises(TypeError, match="QUERY_DTYPE"):
+            queries_from_arrays(["ipsc860"], np.zeros(2))
 
     @pytest.mark.parametrize(
         ("spec", "needle"),
@@ -154,6 +186,8 @@ class TestQueriesFromArrays:
             ((0, 25, 40.0), "exceeds the supported maximum"),
             ((0, 7, float("inf")), "block size must be finite"),
             ((0, 7, float("nan")), "block size must be finite"),
+            ((0, 7, float("-inf")), "block size must be finite"),
+            ((0, 7, -1.0), "block size must be >= 0"),
         ],
     )
     def test_rejections(self, spec, needle):
@@ -384,6 +418,65 @@ class TestFuzzRandomBytes:
         assert wire.decode_result_payload(payload)[2] == [(4, 3)]
 
 
+class TestColumnarServing:
+    def test_round_trip_builds_no_per_query_objects(self, tmp_path, monkeypatch):
+        """Binary frames with misses, hits and repeats are answered
+        from the wire record to the reply without a Query or a
+        QueryResult."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a per-query object was built")
+
+        async def scenario():
+            server = await started_server(tmp_path)
+            reader, writer = await open_stream(server.address)
+            opcode, _ = await do_hello(reader, writer)
+            assert opcode == wire.OP_HELLO_OK
+            monkeypatch.setattr(batch.Query, "__init__", refuse)
+            monkeypatch.setattr(batch.QueryResult, "__init__", refuse)
+            answers = []
+            for frame in (
+                query_frame((1, 7, 40.0), (1, 7, 40.0), (1, 5, 500.0)),
+                query_frame((1, 7, 40.0), (1, 6, 40.0), (1, 5, 500.0)),
+            ):
+                writer.write(frame)
+                await writer.drain()
+                answers.append(await wire.read_frame(reader))
+            monkeypatch.undo()
+            writer.close()
+            await server.aclose()
+            return answers
+
+        answers = asyncio.run(scenario())
+        assert [opcode for _, opcode, _ in answers] == [wire.OP_RESULT] * 2
+        decoded = [wire.decode_result_payload(payload) for _, _, payload in answers]
+        assert decoded[0][1] == ["grid", "grid", "pool"]
+        assert decoded[1][1] == ["memo", "grid", "memo"]
+        assert decoded[0][2] == [(4, 3), (4, 3), (5,)]
+        assert decoded[1][2] == [(4, 3), (3, 3), (5,)]
+
+    def test_zero_record_query_answers_zero_count_result(self, tmp_path):
+        async def scenario():
+            server = await started_server(tmp_path)
+            reader, writer = await open_stream(server.address)
+            await do_hello(reader, writer)
+            writer.write(wire.pack_frame(wire.OP_QUERY, b""))
+            writer.write(VALID_FRAME)  # and the session serves on
+            await writer.drain()
+            answers = [await wire.read_frame(reader) for _ in range(2)]
+            writer.close()
+            await server.aclose()
+            return answers
+
+        (_, empty_op, empty), (_, chase_op, chase) = asyncio.run(scenario())
+        assert empty_op == wire.OP_RESULT
+        assert empty == (0).to_bytes(4, "little")
+        times, sources, partitions = wire.decode_result_payload(empty)
+        assert times.size == 0 and sources == [] and partitions == []
+        assert chase_op == wire.OP_RESULT
+        assert wire.decode_result_payload(chase)[2] == [(4, 3)]
+
+
 class TestBinaryAnswersMatchJson:
     def test_same_queries_same_answers_on_both_wires(self, tmp_path):
         """Binary results equal the JSON wire's, including provenance,
@@ -429,9 +522,9 @@ class TestBinaryAnswersMatchJson:
             assert doc["time_us"] == expected.time_us
 
     def test_distinct_unsorted_queries_keep_request_order(self, tmp_path):
-        """All-distinct frames tempt the server to skip the dedup
-        scatter — but np.unique sorts, so answers must still be
-        restored to request order, not cell order."""
+        """The resolver prices misses in cell order — grouped by
+        ``(preset, d)``, then sorted by block size — so answers must
+        still be restored to request order."""
 
         async def scenario():
             server = await started_server(tmp_path, default_preset="ipsc860")
@@ -459,12 +552,15 @@ class TestBinaryAnswersMatchJson:
                     [(7, 40.0)] * 9 + [(5, 40.0)] * 7
                 )
             await server.aclose()
-            return responses, server.stats
+            return responses, server.stats, server.registry.stats
 
-        responses, stats = asyncio.run(scenario())
+        responses, stats, registry_stats = asyncio.run(scenario())
         assert [r["partition"] for r in responses] == [[4, 3]] * 9 + [[3, 2]] * 7
-        # 16 queries on the wire, 2 distinct cells through the batcher
-        assert stats.batched_queries == 2
+        # 16 queries on the wire and through the batcher; the resolver
+        # prices the 2 distinct cells and folds the 14 repeats into them
+        assert stats.batched_queries == 16
+        assert registry_stats.grid_cells == 2
+        assert registry_stats.coalesced == 14
 
 
 class TestAuthToken:

@@ -69,3 +69,35 @@ def test_transient_bench_metrics_are_not_tracked():
         "BENCH_*.json are per-run measurements; the committed reference "
         f"is benchmarks/baselines.json — untrack: {offenders}"
     )
+
+
+#: outputs that hold only timings, rewritten by every benchmark run
+TIMING_OUTPUTS = (
+    "async_serving_throughput.txt",
+    "bench_apps_fastpath.txt",
+    "bench_fastpath.txt",
+    "bench_planner.txt",
+    "chaos_throughput.txt",
+    "cluster_scaleout.txt",
+    "service_throughput.txt",
+    "vectorized_hull_speedup.txt",
+    "vectorized_sweep_speedup.txt",
+    "wire_protocol_throughput.txt",
+)
+
+
+def test_timing_outputs_are_ignored_but_paper_outputs_are_tracked():
+    tracked = {Path(p).name for p in git("ls-files", "benchmarks/output").splitlines()}
+    assert not tracked & set(TIMING_OUTPUTS)
+    assert {"figure4.txt", "figure6.txt", "sweep.txt"} <= tracked
+    probes = [f"benchmarks/output/{name}" for name in (*TIMING_OUTPUTS, "figure4.txt")]
+    try:
+        result = subprocess.run(
+            ["git", "check-ignore", "--no-index", *probes],
+            cwd=REPO_ROOT, capture_output=True, text=True, timeout=30,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        pytest.skip("not a usable git checkout")
+    if result.returncode > 1:
+        pytest.skip(f"git check-ignore unavailable: {result.stderr}")
+    assert sorted(result.stdout.split()) == sorted(probes[:-1])
