@@ -99,14 +99,12 @@ from repro.plan import (
     plan_pattern,
 )
 from repro.service import (
-    AsyncServiceClient,
     OptimizerClient,
     OptimizerRegistry,
     Query,
     QueryBatch,
     QueryResult,
     ServerConfig,
-    ServiceClient,
     aconnect,
     connect,
 )
@@ -124,7 +122,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "ADIProblem",
-    "AsyncServiceClient",
     "CollectivePlanner",
     "Communicator",
     "ContentionPolicy",
@@ -141,7 +138,6 @@ __all__ = [
     "QueryBatch",
     "QueryResult",
     "ServerConfig",
-    "ServiceClient",
     "ServicePolicy",
     "SimulatedHypercube",
     "__version__",

@@ -1,20 +1,21 @@
 """Cluster-aware clients: route, fan out, fail over, retry.
 
-:class:`ClusterClient` (blocking) and :class:`AsyncClusterClient`
-(asyncio) present the exact same surface as a single-server client —
-``query`` / ``query_many`` / ``stats`` / ``presets`` / ``close``, the
-:class:`~repro.service.api.OptimizerClient` protocol — but behind it
-they hold one data-plane connection per node and route every query by
-its (preset, d) shard key through the coordinator's cached
-:class:`~repro.fabric.routing.RoutingTable`:
+One client core, :class:`AsyncClusterClient`, presents the exact same
+surface as a single-server client — ``query`` / ``query_many`` /
+``stats`` / ``presets`` / ``aclose``, the
+:class:`~repro.service.api.AsyncOptimizerClient` protocol — but behind
+it holds one :class:`~repro.service.client.AsyncServerClient` per node
+and routes every query by its (preset, d) shard key through the
+coordinator's cached :class:`~repro.fabric.routing.RoutingTable`:
 
 - ``query_many`` groups the queries by target node and pipelines each
-  group over that node's connection (the existing single-server
-  pipelining, unchanged), reassembling answers into request order;
-- a node that drops, refuses, or answers ``RETRY_LATER`` (shedding)
-  fails only its group: those queries retry on the *next replica* in
-  their key's failover order, after a capped exponential backoff and a
-  forced routing-table refresh — node loss is a normal, retried event;
+  group over that node's connection (the single-server pipelining,
+  unchanged), reassembling answers into request order;
+- a node that drops, refuses, stalls past ``timeout``, or answers
+  ``RETRY_LATER`` (shedding) fails only its group: those queries retry
+  on the *next replica* in their key's failover order, after a capped
+  exponential backoff and a forced routing-table refresh — node loss
+  is a normal, retried event;
 - group submission is all-or-nothing: answers are committed by query
   index only when a group's full response pipeline arrived, so a
   connection cut mid-pipeline re-runs the whole group on a replica —
@@ -23,18 +24,23 @@ its (preset, d) shard key through the coordinator's cached
   the cached epoch; the coordinator answers ``{"unchanged": true}``
   when nothing moved).
 
+:class:`ClusterClient` is the blocking facade: it runs the
+:class:`AsyncClusterClient` coroutines on a private event loop and
+holds no routing or retry logic of its own.  It connects lazily, on
+the first query.
+
 Routing tables come from a pluggable source: :class:`CoordinatorRoutes`
 asks a live coordinator, :class:`StaticRoutes` pins a table (tests
 script membership changes without a coordinator).  The module-level
 :func:`fetch_status` / :func:`request_drain` helpers back
-``repro cluster status`` / ``repro cluster drain``.
+``repro cluster status`` / ``repro cluster drain``; they and
+:func:`fetch_routes` run the one asyncio control-plane round trip on a
+fresh event loop.
 """
 
 from __future__ import annotations
 
 import asyncio
-import socket
-import time
 from dataclasses import dataclass
 from typing import Any, Iterable
 
@@ -43,9 +49,9 @@ from repro.service import wire as wire_proto
 from repro.service.client import (
     Address,
     AsyncServerClient,
-    ServerClient,
     ServiceError,
     parse_address,
+    _BlockingFacade,
     _query_request,
 )
 
@@ -95,43 +101,13 @@ class RetryPolicy:
 
 
 # ----------------------------------------------------------------------
-# control-plane round trips (sync + async)
+# control-plane round trips
 # ----------------------------------------------------------------------
-def _check_control_answer(opcode: int, payload: bytes, expect: int) -> dict:
-    if opcode == wire_proto.OP_ERROR:
-        raise RouteError(payload.decode("utf-8", "replace"))
-    if opcode != expect:
-        raise RouteError(f"coordinator answered opcode {opcode}, expected {expect}")
-    return wire_proto.parse_fabric_payload(payload)
-
-
-def _control_request(
+async def _control_request(
     address: str | Address, opcode: int, doc: dict, expect: int,
     *, timeout: float | None,
 ) -> dict:
-    """One blocking control-plane round trip against the coordinator."""
-    addr = parse_address(address)
-    if addr.kind == "unix":
-        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        sock.settimeout(timeout)
-        sock.connect(addr.path)
-    else:
-        sock = socket.create_connection((addr.host, addr.port), timeout=timeout)
-        sock.settimeout(timeout)
-    try:
-        file = sock.makefile("rwb")
-        file.write(wire_proto.pack_frame(opcode, wire_proto.fabric_payload(doc)))
-        file.flush()
-        _, answer_op, payload = wire_proto.read_frame_blocking(file.read)
-    finally:
-        sock.close()
-    return _check_control_answer(answer_op, payload, expect)
-
-
-async def _control_request_async(
-    address: str | Address, opcode: int, doc: dict, expect: int,
-    *, timeout: float | None,
-) -> dict:
+    """One control-plane round trip against the coordinator."""
     addr = parse_address(address)
     if addr.kind == "unix":
         open_coro = asyncio.open_unix_connection(addr.path)
@@ -140,26 +116,28 @@ async def _control_request_async(
     reader, writer = await asyncio.wait_for(open_coro, timeout)
     try:
         writer.write(wire_proto.pack_frame(opcode, wire_proto.fabric_payload(doc)))
-        await writer.drain()
-        _, answer_op, payload = await asyncio.wait_for(
-            wire_proto.read_frame(reader), timeout
-        )
+        async with asyncio.timeout(timeout):
+            await writer.drain()
+            _, answer_op, payload = await wire_proto.read_frame(reader)
+    except asyncio.IncompleteReadError:
+        raise ConnectionError("coordinator closed the connection mid-frame") from None
     finally:
         writer.close()
         try:
             await writer.wait_closed()
         except (ConnectionError, OSError):
             pass
-    return _check_control_answer(answer_op, payload, expect)
+    if answer_op == wire_proto.OP_ERROR:
+        raise RouteError(payload.decode("utf-8", "replace"))
+    if answer_op != expect:
+        raise RouteError(f"coordinator answered opcode {answer_op}, expected {expect}")
+    return wire_proto.parse_fabric_payload(payload)
 
 
-def fetch_routes(
-    coordinator: str | Address, *, known_epoch: int | None = None,
-    timeout: float | None = 10.0,
+async def _fetch_routes(
+    coordinator: str | Address, known_epoch: int | None, timeout: float | None
 ) -> RoutingTable | None:
-    """The coordinator's routing table, or ``None`` when ``known_epoch``
-    is still current."""
-    doc = _control_request(
+    doc = await _control_request(
         coordinator, wire_proto.OP_ROUTES,
         {"epoch": -1 if known_epoch is None else known_epoch},
         wire_proto.OP_ROUTES_OK, timeout=timeout,
@@ -169,24 +147,33 @@ def fetch_routes(
     return RoutingTable.from_dict(doc)
 
 
+def fetch_routes(
+    coordinator: str | Address, *, known_epoch: int | None = None,
+    timeout: float | None = 10.0,
+) -> RoutingTable | None:
+    """The coordinator's routing table, or ``None`` when ``known_epoch``
+    is still current."""
+    return asyncio.run(_fetch_routes(coordinator, known_epoch, timeout))
+
+
 def fetch_status(
     coordinator: str | Address, *, timeout: float | None = 10.0
 ) -> dict:
     """The full membership document (``repro cluster status``)."""
-    return _control_request(
+    return asyncio.run(_control_request(
         coordinator, wire_proto.OP_STATUS, {}, wire_proto.OP_STATUS_OK,
         timeout=timeout,
-    )
+    ))
 
 
 def request_drain(
     coordinator: str | Address, node_id: str, *, timeout: float | None = 10.0
 ) -> dict:
     """Ask the coordinator to drain one node (``repro cluster drain``)."""
-    return _control_request(
+    return asyncio.run(_control_request(
         coordinator, wire_proto.OP_DRAIN, {"node": node_id},
         wire_proto.OP_DRAIN_OK, timeout=timeout,
-    )
+    ))
 
 
 # ----------------------------------------------------------------------
@@ -205,14 +192,7 @@ class CoordinatorRoutes:
         )
 
     async def table_async(self, known_epoch: int | None = None) -> RoutingTable | None:
-        doc = await _control_request_async(
-            self.coordinator, wire_proto.OP_ROUTES,
-            {"epoch": -1 if known_epoch is None else known_epoch},
-            wire_proto.OP_ROUTES_OK, timeout=self.timeout,
-        )
-        if doc.get("unchanged"):
-            return None
-        return RoutingTable.from_dict(doc)
+        return await _fetch_routes(self.coordinator, known_epoch, self.timeout)
 
     def status(self) -> dict:
         return fetch_status(self.coordinator, timeout=self.timeout)
@@ -248,7 +228,7 @@ class StaticRoutes:
 
 
 # ----------------------------------------------------------------------
-# shared routing logic (pure: both clients delegate here)
+# routing
 # ----------------------------------------------------------------------
 def _route_groups(
     table: RoutingTable, docs: list[dict], pending: list[int], attempt: int
@@ -273,153 +253,11 @@ def _route_groups(
     return groups, unroutable
 
 
-def _commit_group(
-    results: list[dict | None], idxs: list[int], answers: list[dict]
-) -> list[int]:
-    """Commit one group's answers by index; shed answers stay pending.
-    The caller only reaches this when the *whole* pipeline arrived, so
-    commitment is all-or-nothing per group."""
-    still_pending: list[int] = []
-    for idx, answer in zip(idxs, answers):
-        if answer.get("retry"):
-            still_pending.append(idx)
-        else:
-            results[idx] = answer
-    return still_pending
-
-
 _NODE_FAILURES = (ConnectionError, OSError, wire_proto.WireError, ServiceError)
 
 
-class ClusterClient:
-    """Blocking cluster client (see module docstring for semantics)."""
-
-    def __init__(
-        self,
-        routes: CoordinatorRoutes | StaticRoutes,
-        *,
-        wire: str = "json",
-        auth_token: str | None = None,
-        timeout: float | None = 30.0,
-        retry: RetryPolicy | None = None,
-    ) -> None:
-        self._routes = routes
-        self._wire = wire
-        self._auth_token = auth_token
-        self._timeout = timeout
-        self._retry = retry if retry is not None else RetryPolicy()
-        self._table: RoutingTable | None = None
-        self._conns: dict[str, ServerClient] = {}
-
-    # -- routing ------------------------------------------------------
-    @property
-    def table(self) -> RoutingTable:
-        if self._table is None:
-            self.refresh()
-        assert self._table is not None
-        return self._table
-
-    def refresh(self, *, force: bool = False) -> RoutingTable:
-        known = None if force or self._table is None else self._table.epoch
-        fresh = self._routes.table(known)
-        if fresh is not None:
-            self._table = fresh
-        assert self._table is not None
-        return self._table
-
-    def _conn(self, address: str) -> ServerClient:
-        client = self._conns.get(address)
-        if client is None:
-            client = ServerClient(
-                address, wire=self._wire, auth_token=self._auth_token,
-                timeout=self._timeout,
-            )
-            self._conns[address] = client
-        return client
-
-    def _drop_conn(self, address: str) -> None:
-        client = self._conns.pop(address, None)
-        if client is not None:
-            client.close()
-
-    # -- queries ------------------------------------------------------
-    def query(self, d: int, m: float, *, preset: str | None = None) -> dict:
-        doc: dict[str, Any] = {"d": d, "m": m}
-        if preset is not None:
-            doc["preset"] = preset
-        response = self.query_many([doc])[0]
-        if not response.get("ok", False):
-            raise ServiceError(response)
-        return response
-
-    def query_many(
-        self,
-        queries: Iterable,
-        *,
-        preset: str | None = None,
-        frame_queries: int | None = None,
-    ) -> list[dict]:
-        table = self.table
-        docs = [
-            _query_request(q, preset if preset is not None else table.default_preset)
-            for q in queries
-        ]
-        if not docs:
-            return []
-        results: list[dict | None] = [None] * len(docs)
-        pending = list(range(len(docs)))
-        failures = 0
-        for attempt in range(self._retry.attempts):
-            if not pending:
-                break
-            if failures:
-                time.sleep(self._retry.delay_s(failures - 1))
-                table = self.refresh(force=True)
-            groups, pending = _route_groups(table, docs, pending, attempt)
-            for address, idxs in groups.items():
-                kwargs: dict[str, Any] = {}
-                if self._wire == "binary" and frame_queries is not None:
-                    kwargs["frame_queries"] = frame_queries
-                try:
-                    answers = self._conn(address).query_many(
-                        [docs[i] for i in idxs], **kwargs
-                    )
-                except _NODE_FAILURES:
-                    self._drop_conn(address)
-                    pending.extend(idxs)
-                    continue
-                pending.extend(_commit_group(results, idxs, answers))
-            if pending:
-                failures += 1
-        if pending:
-            raise RouteError(
-                f"{len(pending)} of {len(docs)} queries unanswered after "
-                f"{self._retry.attempts} attempts across replicas"
-            )
-        return [doc for doc in results if doc is not None]
-
-    # -- ops ----------------------------------------------------------
-    def stats(self) -> dict:
-        """The cluster's membership/status document, wrapped like a
-        server stats answer."""
-        return {"ok": True, "cluster": self._routes.status()}
-
-    def presets(self) -> list[str]:
-        return list(self.table.presets)
-
-    def close(self) -> None:
-        for address in list(self._conns):
-            self._drop_conn(address)
-
-    def __enter__(self) -> "ClusterClient":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
 class AsyncClusterClient:
-    """The same routing client on asyncio connections."""
+    """The routing client (see the module docstring for semantics)."""
 
     def __init__(
         self,
@@ -446,6 +284,9 @@ class AsyncClusterClient:
             self._table = fresh
         assert self._table is not None
         return self._table
+
+    async def _current_table(self) -> RoutingTable:
+        return self._table if self._table is not None else await self.refresh()
 
     async def _conn(self, address: str) -> AsyncServerClient:
         client = self._conns.get(address)
@@ -479,7 +320,9 @@ class AsyncClusterClient:
         preset: str | None = None,
         frame_queries: int | None = None,
     ) -> list[dict]:
-        table = self._table if self._table is not None else await self.refresh()
+        if frame_queries is not None and self._wire != "binary":
+            raise ValueError("frame_queries applies to the binary wire only")
+        table = await self._current_table()
         docs = [
             _query_request(q, preset if preset is not None else table.default_preset)
             for q in queries
@@ -497,19 +340,22 @@ class AsyncClusterClient:
                 table = await self.refresh(force=True)
             groups, pending = _route_groups(table, docs, pending, attempt)
             for address, idxs in groups.items():
-                kwargs: dict[str, Any] = {}
-                if self._wire == "binary" and frame_queries is not None:
-                    kwargs["frame_queries"] = frame_queries
                 try:
                     client = await self._conn(address)
                     answers = await client.query_many(
-                        [docs[i] for i in idxs], **kwargs
+                        [docs[i] for i in idxs], frame_queries=frame_queries
                     )
                 except _NODE_FAILURES:
                     await self._drop_conn(address)
                     pending.extend(idxs)
                     continue
-                pending.extend(_commit_group(results, idxs, answers))
+                # the whole pipeline arrived: commit it, shed answers stay
+                # pending, so commitment is all-or-nothing per group
+                for idx, answer in zip(idxs, answers):
+                    if answer.get("retry"):
+                        pending.append(idx)
+                    else:
+                        results[idx] = answer
             if pending:
                 failures += 1
         if pending:
@@ -521,8 +367,10 @@ class AsyncClusterClient:
 
     # -- ops ----------------------------------------------------------
     async def stats(self) -> dict:
+        """The cluster's membership/status document, wrapped like a
+        server stats answer."""
         if isinstance(self._routes, CoordinatorRoutes):
-            status = await _control_request_async(
+            status = await _control_request(
                 self._routes.coordinator, wire_proto.OP_STATUS, {},
                 wire_proto.OP_STATUS_OK, timeout=self._routes.timeout,
             )
@@ -531,8 +379,7 @@ class AsyncClusterClient:
         return {"ok": True, "cluster": status}
 
     async def presets(self) -> list[str]:
-        table = self._table if self._table is not None else await self.refresh()
-        return list(table.presets)
+        return list((await self._current_table()).presets)
 
     async def aclose(self) -> None:
         for address in list(self._conns):
@@ -543,3 +390,30 @@ class AsyncClusterClient:
 
     async def __aexit__(self, *exc_info: object) -> None:
         await self.aclose()
+
+
+class ClusterClient(_BlockingFacade[AsyncClusterClient]):
+    """Blocking cluster client: the :class:`AsyncClusterClient`
+    surface, run on a private event loop.  Connects lazily."""
+
+    def __init__(
+        self,
+        routes: CoordinatorRoutes | StaticRoutes,
+        *,
+        wire: str = "json",
+        auth_token: str | None = None,
+        timeout: float | None = 30.0,
+        retry: RetryPolicy | None = None,
+    ) -> None:
+        self._client = AsyncClusterClient(
+            routes, wire=wire, auth_token=auth_token, timeout=timeout,
+            retry=retry,
+        )
+        self._loop = asyncio.new_event_loop()
+
+    @property
+    def table(self) -> RoutingTable:
+        return self._run(self._client._current_table())
+
+    def refresh(self, *, force: bool = False) -> RoutingTable:
+        return self._run(self._client.refresh(force=force))

@@ -1,15 +1,12 @@
 """One way in: ``connect()`` / ``aconnect()`` and the client protocol.
 
-Callers used to juggle :class:`ServiceClient` vs
-:class:`AsyncServiceClient`, ``parse_address``, ``wire=``, and
-``auth_token=`` by hand — and none of that said anything about
-clusters.  These factories collapse the surface to a single decision,
+These factories collapse the client surface to a single decision,
 the *target string*:
 
 ``"HOST:PORT"`` / ``":PORT"`` / ``"unix:PATH"``
-    One server.  ``connect`` returns a
-    :class:`~repro.service.client.ServerClient`, ``aconnect`` an
-    :class:`~repro.service.client.AsyncServerClient`.
+    One server.  ``aconnect`` returns an
+    :class:`~repro.service.client.AsyncServerClient`, ``connect`` a
+    :class:`~repro.service.client.ServerClient` (its blocking facade).
 ``"cluster:HOST:PORT"`` / ``"cluster:unix:PATH"``
     A coordinator.  The same calls return a
     :class:`~repro.fabric.cluster.ClusterClient` /

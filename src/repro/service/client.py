@@ -1,34 +1,36 @@
 """Client library for the optimizer query service socket transport.
 
-Two clients over the same protocols the socket server speaks
-(:mod:`repro.service.async_server`) — the JSON-lines protocol of the
-stdio loop (:mod:`repro.service.server`) and, with ``wire="binary"``,
-the length-prefixed binary protocol of :mod:`repro.service.wire`:
+One client core, :class:`AsyncServerClient`, speaks both protocols of
+the socket server (:mod:`repro.service.async_server`): the JSON-lines
+protocol of the stdio loop (:mod:`repro.service.server`) and, with
+``wire="binary"``, the length-prefixed binary protocol of
+:mod:`repro.service.wire`.  It owns all of the framing, pipelining
+and HELLO/auth logic.  :meth:`~AsyncServerClient.query_many`
+pipelines: every request is written before the first response is
+read, so a server that micro-batches across in-flight requests sees
+them all at once.  ``timeout`` bounds the connect and every read and
+write after it, so a stalled server raises :exc:`TimeoutError`.
 
-:class:`ServerClient`
-    Blocking sockets, for scripts and the ``repro query --connect``
-    CLI.  :meth:`ServerClient.query_many` pipelines: every request is
-    written before the first response is read, so a server that
-    micro-batches across in-flight requests sees them all at once.
-:class:`AsyncServerClient`
-    The same surface on asyncio streams, for concurrent load
-    generators and services embedding the client in an event loop.
+:class:`ServerClient` is the blocking facade for scripts and the
+``repro query --connect`` CLI: it owns a private event loop and runs
+the matching :class:`AsyncServerClient` coroutine on it for each call.
+It does no I/O of its own, and must not be called from inside a
+running event loop (drive it from a thread instead).
 
 Prefer the :func:`repro.service.connect` / :func:`repro.service.aconnect`
 factories over constructing these directly — they return the same
 objects for a single server and a cluster-routing client for a
 ``cluster:`` target, behind one :class:`~repro.service.api.OptimizerClient`
-protocol.  The pre-fabric names ``ServiceClient`` / ``AsyncServiceClient``
-remain as deprecation shims.
+protocol.
 
 On the binary wire the client opens with a ``HELLO`` (carrying the
 optional ``auth_token``) and keeps the server's ``HELLO_OK`` preset
-catalog, then :meth:`~ServerClient.query_many` packs queries into
+catalog, then :meth:`~AsyncServerClient.query_many` packs queries into
 ``(preset_id, d, m)`` record frames and decodes the answer arrays back
 into the same response documents the JSON wire produces — callers
 cannot tell the transports apart by result shape.  Ops (``stats``,
 ``shutdown``) stay JSON-connection affairs; a binary
-:meth:`~ServerClient.presets` answers from the negotiated catalog.
+:meth:`~AsyncServerClient.presets` answers from the negotiated catalog.
 With ``auth_token`` on the JSON wire, the client authenticates with
 ``{"op": "auth", "token": ...}`` before anything else.
 
@@ -42,7 +44,7 @@ Address(kind='tcp', host='127.0.0.1', port=7831, path='')
 'unix:/tmp/repro.sock'
 
 Responses are the protocol's JSON documents as plain dicts;
-:meth:`~ServerClient.query` raises :class:`ServiceError` when the
+:meth:`~AsyncServerClient.query` raises :class:`ServiceError` when the
 server answers ``{"ok": false}`` so callers cannot mistake an in-band
 error for a result.
 """
@@ -51,19 +53,18 @@ from __future__ import annotations
 
 import asyncio
 import json
-import socket
-import warnings
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Awaitable, Generic, Iterable, Self, Sequence, TypeVar
 
 from repro.service import wire as wire_proto
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.service.api import AsyncOptimizerClient
 
 __all__ = [
     "Address",
     "AsyncServerClient",
-    "AsyncServiceClient",
     "ServerClient",
-    "ServiceClient",
     "ServiceError",
     "parse_address",
 ]
@@ -144,8 +145,8 @@ def _query_request(item: object, default_preset: str | None) -> dict:
 
 
 class _BinarySession:
-    """The negotiated state and codec logic both clients share on the
-    binary wire; the transports differ only in how bytes move."""
+    """The binary wire's negotiated state: the preset catalog, and the
+    codec between query specs, record frames and response documents."""
 
     def __init__(self, hello_ok: dict) -> None:
         self.catalog: list[str] = [str(name) for name in hello_ok["presets"]]
@@ -251,178 +252,13 @@ def _hello_session(opcode: int, payload: bytes) -> _BinarySession:
     return _BinarySession(wire_proto.parse_hello_ok(payload))
 
 
-class ServerClient:
-    """Blocking client for one server connection.
+class AsyncServerClient:
+    """Client for one server connection, on asyncio streams.
 
     ``wire="binary"`` negotiates the binary protocol at connect (and
     carries ``auth_token`` in the HELLO); on the default JSON wire an
     ``auth_token`` is presented via ``{"op": "auth"}`` first.  Usable
-    as a context manager; the connection closes on exit.
-    """
-
-    def __init__(
-        self,
-        address: str | Address,
-        *,
-        timeout: float | None = 30.0,
-        wire: str = "json",
-        auth_token: str | None = None,
-    ) -> None:
-        if wire not in _WIRES:
-            raise ValueError(f"wire must be one of {_WIRES}, got {wire!r}")
-        addr = parse_address(address)
-        if addr.kind == "unix":
-            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.settimeout(timeout)
-            sock.connect(addr.path)
-        else:
-            sock = socket.create_connection((addr.host, addr.port), timeout=timeout)
-            sock.settimeout(timeout)
-        self.address = addr
-        self.wire = wire
-        self._sock = sock
-        self._file = sock.makefile("rwb")
-        self._session: _BinarySession | None = None
-        if wire == "binary":
-            self._file.write(wire_proto.pack_frame(
-                wire_proto.OP_HELLO, wire_proto.hello_payload(auth_token)
-            ))
-            self._file.flush()
-            self._session = _hello_session(*self._read_frame())
-        elif auth_token is not None:
-            response = self.request({"op": "auth", "token": auth_token})
-            if not response.get("ok", False):
-                raise ServiceError(response)
-
-    # ------------------------------------------------------------------
-    # transport
-    # ------------------------------------------------------------------
-    def _write_lines(self, docs: Iterable[dict]) -> None:
-        payload = b"".join(json.dumps(doc).encode() + b"\n" for doc in docs)
-        self._file.write(payload)
-        self._file.flush()
-
-    def _read_response(self) -> dict:
-        line = self._file.readline()
-        if not line:
-            raise ConnectionError("server closed the connection")
-        return json.loads(line)
-
-    def _read_frame(self) -> tuple[int, bytes]:
-        _, opcode, payload = wire_proto.read_frame_blocking(self._file.read)
-        return opcode, payload
-
-    def request(self, obj: dict) -> dict:
-        """One request, one response — no interpretation of either."""
-        if self.wire == "binary":
-            raise ValueError(
-                "the binary wire carries query frames only; connect with "
-                "wire='json' for ops"
-            )
-        self._write_lines([obj])
-        return self._read_response()
-
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
-    def query(self, d: int, m: float, *, preset: str | None = None) -> dict:
-        """One lookup; raises :class:`ServiceError` on an error answer."""
-        doc: dict[str, Any] = {"d": d, "m": m}
-        if preset is not None:
-            doc["preset"] = preset
-        if self.wire == "binary":
-            response = self.query_many([doc])[0]
-        else:
-            response = self.request(doc)
-        if not response.get("ok", False):
-            raise ServiceError(response)
-        return response
-
-    def query_many(
-        self,
-        queries: Iterable,
-        *,
-        preset: str | None = None,
-        frame_queries: int | None = None,
-    ) -> list[dict]:
-        """Pipelined lookups: write every request, then read every
-        response (in request order — the protocol guarantees it).
-        Returns the raw response documents; callers inspect ``ok``.
-
-        On the binary wire the queries pack into ``OP_QUERY`` record
-        frames — one frame by default, or ``frame_queries`` per frame
-        to bound per-frame latency; the response documents match the
-        JSON wire's shape.
-        """
-        if self.wire != "binary":
-            if frame_queries is not None:
-                raise ValueError("frame_queries applies to the binary wire only")
-            docs = [_query_request(q, preset) for q in queries]
-            if not docs:
-                return []
-            self._write_lines(docs)
-            return [self._read_response() for _ in docs]
-        session = self._session
-        assert session is not None
-        specs = [session.spec(q, preset) for q in queries]
-        if not specs:
-            return []
-        chunk = _frame_chunk(len(specs), frame_queries)
-        groups = [specs[i : i + chunk] for i in range(0, len(specs), chunk)]
-        self._file.write(b"".join(session.query_frame(g) for g in groups))
-        self._file.flush()
-        responses: list[dict] = []
-        for group in groups:
-            opcode, payload = self._read_frame()
-            responses.extend(session.frame_docs(opcode, payload, group))
-        return responses
-
-    # ------------------------------------------------------------------
-    # ops
-    # ------------------------------------------------------------------
-    def stats(self) -> dict:
-        """The server's live counters (registry stats; socket servers
-        add a ``server`` section with transport/batcher counters)."""
-        response = self.request({"op": "stats"})
-        if not response.get("ok", False):
-            raise ServiceError(response)
-        return response
-
-    def presets(self) -> list[str]:
-        if self._session is not None:
-            # the HELLO_OK already carried the catalog
-            return list(self._session.catalog)
-        response = self.request({"op": "presets"})
-        if not response.get("ok", False):
-            raise ServiceError(response)
-        return list(response["presets"])
-
-    def shutdown(self) -> dict:
-        """Ask the server to drain and exit (socket transport only)."""
-        response = self.request({"op": "shutdown"})
-        if not response.get("ok", False):
-            raise ServiceError(response)
-        return response
-
-    def close(self) -> None:
-        try:
-            self._file.close()
-        except OSError:
-            pass
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-
-    def __enter__(self) -> "ServerClient":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-class AsyncServerClient:
-    """The same client surface on asyncio streams.
+    as an async context manager; the connection closes on exit.
 
     >>> # client = await AsyncServerClient.connect("127.0.0.1:7831")
     >>> # await client.query(7, 40)  ->  {"ok": True, "partition": [4, 3], ...}
@@ -439,6 +275,7 @@ class AsyncServerClient:
         self._reader = reader
         self._writer = writer
         self._session: _BinarySession | None = None
+        self._timeout: float | None = None
 
     @classmethod
     async def connect(
@@ -459,37 +296,48 @@ class AsyncServerClient:
         reader, writer = await asyncio.wait_for(open_coro, timeout)
         client = cls(addr, reader, writer)
         client.wire = wire
-        if wire == "binary":
-            writer.write(wire_proto.pack_frame(
-                wire_proto.OP_HELLO, wire_proto.hello_payload(auth_token)
-            ))
-            await writer.drain()
-            client._session = _hello_session(*await client._read_frame())
-        elif auth_token is not None:
-            response = await client.request({"op": "auth", "token": auth_token})
-            if not response.get("ok", False):
-                raise ServiceError(response)
+        client._timeout = timeout
+        try:
+            if wire == "binary":
+                await client._send(wire_proto.pack_frame(
+                    wire_proto.OP_HELLO, wire_proto.hello_payload(auth_token)
+                ))
+                client._session = _hello_session(*await client._read_frame())
+            elif auth_token is not None:
+                await client._op({"op": "auth", "token": auth_token})
+        except BaseException:
+            await client.aclose()
+            raise
         return client
 
-    async def _write_lines(self, docs: Iterable[dict]) -> None:
-        payload = b"".join(json.dumps(doc).encode() + b"\n" for doc in docs)
+    # ------------------------------------------------------------------
+    # transport: every write and read is bounded by ``timeout``
+    # ------------------------------------------------------------------
+    async def _send(self, payload: bytes) -> None:
         self._writer.write(payload)
-        await self._writer.drain()
+        async with asyncio.timeout(self._timeout):
+            await self._writer.drain()
+
+    async def _write_lines(self, docs: Iterable[dict]) -> None:
+        await self._send(b"".join(json.dumps(doc).encode() + b"\n" for doc in docs))
 
     async def _read_response(self) -> dict:
-        line = await self._reader.readline()
+        async with asyncio.timeout(self._timeout):
+            line = await self._reader.readline()
         if not line:
             raise ConnectionError("server closed the connection")
         return json.loads(line)
 
     async def _read_frame(self) -> tuple[int, bytes]:
         try:
-            _, opcode, payload = await wire_proto.read_frame(self._reader)
+            async with asyncio.timeout(self._timeout):
+                _, opcode, payload = await wire_proto.read_frame(self._reader)
         except asyncio.IncompleteReadError:
             raise ConnectionError("server closed the connection mid-frame") from None
         return opcode, payload
 
     async def request(self, obj: dict) -> dict:
+        """One request, one response — no interpretation of either."""
         if self.wire == "binary":
             raise ValueError(
                 "the binary wire carries query frames only; connect with "
@@ -498,14 +346,24 @@ class AsyncServerClient:
         await self._write_lines([obj])
         return await self._read_response()
 
+    async def _op(self, obj: dict) -> dict:
+        """One request whose error answer raises :class:`ServiceError`."""
+        response = await self.request(obj)
+        if not response.get("ok", False):
+            raise ServiceError(response)
+        return response
+
+    # ------------------------------------------------------------------
+    # queries
+    # ------------------------------------------------------------------
     async def query(self, d: int, m: float, *, preset: str | None = None) -> dict:
+        """One lookup; raises :class:`ServiceError` on an error answer."""
         doc: dict[str, Any] = {"d": d, "m": m}
         if preset is not None:
             doc["preset"] = preset
-        if self.wire == "binary":
-            response = (await self.query_many([doc]))[0]
-        else:
-            response = await self.request(doc)
+        if self.wire != "binary":
+            return await self._op(doc)
+        response = (await self.query_many([doc]))[0]
         if not response.get("ok", False):
             raise ServiceError(response)
         return response
@@ -518,9 +376,15 @@ class AsyncServerClient:
         frame_queries: int | None = None,
     ) -> list[dict]:
         """Pipelined lookups: one write carries every request, then the
-        responses stream back in order.  On the binary wire the queries
-        pack into ``OP_QUERY`` record frames (one by default,
-        ``frame_queries`` per frame to bound per-frame latency)."""
+        responses stream back in request order (the protocol guarantees
+        it).  Returns the raw response documents; callers inspect
+        ``ok``.
+
+        On the binary wire the queries pack into ``OP_QUERY`` record
+        frames — one frame by default, or ``frame_queries`` per frame
+        to bound per-frame latency; the response documents match the
+        JSON wire's shape.
+        """
         if self.wire != "binary":
             if frame_queries is not None:
                 raise ValueError("frame_queries applies to the binary wire only")
@@ -536,33 +400,30 @@ class AsyncServerClient:
             return []
         chunk = _frame_chunk(len(specs), frame_queries)
         groups = [specs[i : i + chunk] for i in range(0, len(specs), chunk)]
-        self._writer.write(b"".join(session.query_frame(g) for g in groups))
-        await self._writer.drain()
+        await self._send(b"".join(session.query_frame(g) for g in groups))
         responses: list[dict] = []
         for group in groups:
             opcode, payload = await self._read_frame()
             responses.extend(session.frame_docs(opcode, payload, group))
         return responses
 
+    # ------------------------------------------------------------------
+    # ops
+    # ------------------------------------------------------------------
     async def stats(self) -> dict:
-        response = await self.request({"op": "stats"})
-        if not response.get("ok", False):
-            raise ServiceError(response)
-        return response
+        """The server's live counters (registry stats; socket servers
+        add a ``server`` section with transport/batcher counters)."""
+        return await self._op({"op": "stats"})
 
     async def presets(self) -> list[str]:
         if self._session is not None:
+            # the HELLO_OK already carried the catalog
             return list(self._session.catalog)
-        response = await self.request({"op": "presets"})
-        if not response.get("ok", False):
-            raise ServiceError(response)
-        return list(response["presets"])
+        return list((await self._op({"op": "presets"}))["presets"])
 
     async def shutdown(self) -> dict:
-        response = await self.request({"op": "shutdown"})
-        if not response.get("ok", False):
-            raise ServiceError(response)
-        return response
+        """Ask the server to drain and exit (socket transport only)."""
+        return await self._op({"op": "shutdown"})
 
     async def aclose(self) -> None:
         self._writer.close()
@@ -578,31 +439,88 @@ class AsyncServerClient:
         await self.aclose()
 
 
-# ----------------------------------------------------------------------
-# deprecation shims (pre-fabric names)
-# ----------------------------------------------------------------------
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"repro.service.{old} is deprecated; use repro.service.{new}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
+_T = TypeVar("_T")
+_C = TypeVar("_C", bound="AsyncOptimizerClient")
 
 
-class ServiceClient(ServerClient):
-    """Deprecated name for :class:`ServerClient` — prefer
-    :func:`repro.service.connect`, which also understands ``cluster:``
-    targets."""
+class _BlockingFacade(Generic[_C]):
+    """A blocking client: every call runs the matching coroutine of an
+    asyncio client on a private event loop, which :meth:`close` shuts
+    down after the asyncio client's ``aclose()``."""
 
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        _deprecated("ServiceClient", "connect()")
-        super().__init__(*args, **kwargs)
+    _loop: asyncio.AbstractEventLoop
+    _client: _C
+
+    def _run(self, coro: Awaitable[_T]) -> _T:
+        return self._loop.run_until_complete(coro)
+
+    def query(self, d: int, m: float, *, preset: str | None = None) -> dict:
+        """One lookup; raises :class:`ServiceError` on an error answer."""
+        return self._run(self._client.query(d, m, preset=preset))
+
+    def query_many(
+        self,
+        queries: Iterable,
+        *,
+        preset: str | None = None,
+        frame_queries: int | None = None,
+    ) -> list[dict]:
+        """Pipelined lookups, answered in request order."""
+        return self._run(self._client.query_many(
+            queries, preset=preset, frame_queries=frame_queries
+        ))
+
+    def stats(self) -> dict:
+        return self._run(self._client.stats())
+
+    def presets(self) -> list[str]:
+        return self._run(self._client.presets())
+
+    def close(self) -> None:
+        if self._loop.is_closed():
+            return
+        try:
+            self._run(self._client.aclose())
+        finally:
+            self._loop.close()
+
+    def __enter__(self) -> Self:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
 
-class AsyncServiceClient(AsyncServerClient):
-    """Deprecated name for :class:`AsyncServerClient` — prefer
-    :func:`repro.service.aconnect`."""
+class ServerClient(_BlockingFacade[AsyncServerClient]):
+    """Blocking client for one server connection: the
+    :class:`AsyncServerClient` surface, run on a private event loop.
+    Connects eagerly, so an unreachable address raises :exc:`OSError`
+    from the constructor.  Usable as a context manager; the connection
+    closes on exit."""
 
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        _deprecated("AsyncServiceClient", "aconnect()")
-        super().__init__(*args, **kwargs)
+    def __init__(
+        self,
+        address: str | Address,
+        *,
+        timeout: float | None = 30.0,
+        wire: str = "json",
+        auth_token: str | None = None,
+    ) -> None:
+        self._loop = asyncio.new_event_loop()
+        try:
+            self._client = self._run(AsyncServerClient.connect(
+                address, timeout=timeout, wire=wire, auth_token=auth_token
+            ))
+        except BaseException:
+            self._loop.close()
+            raise
+        self.address = self._client.address
+        self.wire = wire
+
+    def request(self, obj: dict) -> dict:
+        """One request, one response — no interpretation of either."""
+        return self._run(self._client.request(obj))
+
+    def shutdown(self) -> dict:
+        """Ask the server to drain and exit (socket transport only)."""
+        return self._run(self._client.shutdown())

@@ -78,8 +78,7 @@ schema-evolving, so every fabric payload is a UTF-8 JSON object
     the next epoch and is told to shut down on its next heartbeat.
 
 Every frame helper here is transport-agnostic bytes-in/bytes-out so
-the asyncio server, the blocking client, and the asyncio client share
-one codec; :exc:`WireError` carries a ``fatal`` flag separating
+the asyncio server and the asyncio client share one codec; :exc:`WireError` carries a ``fatal`` flag separating
 recoverable in-band errors (unknown opcode, bad payload) from lost
 framing (bad magic, oversized length), mirroring how the JSON
 transport treats an overlong line.
@@ -90,7 +89,7 @@ from __future__ import annotations
 import asyncio
 import json
 import struct
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -138,7 +137,6 @@ __all__ = [
     "parse_hello",
     "parse_hello_ok",
     "read_frame",
-    "read_frame_blocking",
 ]
 
 #: the four bytes that open every binary frame — and the negotiation
@@ -255,23 +253,6 @@ async def read_frame(
         raise WireError(
             "connection closed mid-frame (truncated payload)", fatal=True
         ) from None
-    return version, opcode, payload
-
-
-def read_frame_blocking(
-    read: Any, *, max_payload: int = MAX_FRAME_BYTES
-) -> tuple[int, int, bytes]:
-    """Read one frame via a blocking ``read(n)`` callable (file/socket).
-
-    Raises :exc:`ConnectionError` when the peer closes mid-frame.
-    """
-    header = read(HEADER_BYTES)
-    if len(header) < HEADER_BYTES:
-        raise ConnectionError("server closed the connection mid-frame")
-    version, opcode, length = parse_header(header, max_payload=max_payload)
-    payload = read(length) if length else b""
-    if len(payload) < length:
-        raise ConnectionError("server closed the connection mid-frame")
     return version, opcode, payload
 
 

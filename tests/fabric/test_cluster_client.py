@@ -36,7 +36,8 @@ class ScriptedServer:
     """A JSON-lines optimizer server whose behavior per *connection* is
     scripted: ``ok`` answers everything, ``shed_all`` answers
     ``{"retry": true}``, ``drop_mid`` cuts the socket after one answer
-    (mid-pipeline), ``refuse`` closes before reading anything."""
+    (mid-pipeline), ``refuse`` closes before reading anything, and
+    ``stall`` reads every request but never answers."""
 
     def __init__(self, name: str, script: list[str]) -> None:
         self.name = name
@@ -65,6 +66,8 @@ class ScriptedServer:
                 line = await reader.readline()
                 if not line:
                     return
+                if behavior == "stall":
+                    continue  # hold the connection open, answer nothing
                 doc = json.loads(line)
                 if behavior == "drop_mid" and answered >= 1:
                     return  # cut with answers still owed: mid-pipeline drop
@@ -115,6 +118,16 @@ class ScriptedCluster:
 
 
 FAST_RETRY = RetryPolicy(attempts=4, base_delay_s=0.001, max_delay_s=0.01)
+
+#: the read timeout after which a stalled replica counts as failed
+STALL_TIMEOUT = 0.3
+
+#: a two-node table whose nodes refuse every connection
+DEAD_ROUTES = RoutingTable(
+    epoch=1, replication=2,
+    nodes=(("A", "127.0.0.1:1"), ("B", "127.0.0.1:1")),
+    presets=("ipsc860",), default_preset="ipsc860",
+)
 
 
 def assert_exactly_once(results: list[dict]) -> None:
@@ -171,12 +184,7 @@ class TestFailover:
         with ScriptedCluster(["ok", "ok"], ["ok", "ok"]) as cluster:
             routes = cluster.routes()
             live = routes.table(None)
-            dead = RoutingTable(
-                epoch=1, replication=2,
-                nodes=(("A", "127.0.0.1:1"), ("B", "127.0.0.1:1")),
-                presets=("ipsc860",), default_preset="ipsc860",
-            )
-            routes.set(dead)
+            routes.set(DEAD_ROUTES)
             client = ClusterClient(routes, retry=FAST_RETRY)
             assert client.table.epoch == 1
             routes.set(RoutingTable(
@@ -207,6 +215,72 @@ class TestFailover:
                 await b.stop()
 
         assert_exactly_once(asyncio.run(scenario()))
+
+    def test_stalled_replica_fails_over(self):
+        with ScriptedCluster(["stall", "ok"], ["ok"]) as cluster:
+            with ClusterClient(
+                cluster.routes(), retry=FAST_RETRY, timeout=STALL_TIMEOUT
+            ) as client:
+                results = client.query_many(QUERIES)
+            assert_exactly_once(results)
+            assert {r["server"] for r in results} == {"B"}
+            assert sorted(cluster.b.answered) == EXPECTED_MS
+
+    def test_async_client_stalled_replica_fails_over(self):
+        """A replica that accepts but never answers must cost one read
+        timeout, not the whole query: its group moves to the next
+        replica and every query is answered exactly once."""
+
+        async def scenario():
+            a = ScriptedServer("A", ["stall", "ok"])
+            b = ScriptedServer("B", ["ok"])
+            await a.start()
+            await b.start()
+            routes = StaticRoutes(RoutingTable(
+                epoch=1, replication=2,
+                nodes=(("A", a.address), ("B", b.address)),
+                presets=("ipsc860",), default_preset="ipsc860",
+            ))
+            try:
+                async with AsyncClusterClient(
+                    routes, retry=FAST_RETRY, timeout=STALL_TIMEOUT
+                ) as client:
+                    return await client.query_many(QUERIES), a.answered, b.answered
+            finally:
+                await a.stop()
+                await b.stop()
+
+        # the outer guard turns a hang on the stalled replica into a failure
+        results, a_answered, b_answered = asyncio.run(
+            asyncio.wait_for(scenario(), 5.0)
+        )
+        assert_exactly_once(results)
+        assert a_answered == []
+        assert sorted(b_answered) == EXPECTED_MS
+
+    def test_frame_queries_refused_on_the_json_wire(self):
+        # refused before any I/O: the dead table would otherwise end in
+        # a RouteError once the retry budget ran out
+        with ClusterClient(StaticRoutes(DEAD_ROUTES), retry=FAST_RETRY) as client:
+            with pytest.raises(ValueError, match="binary wire only"):
+                client.query_many(QUERIES, frame_queries=4)
+
+        async def scenario():
+            async with AsyncClusterClient(
+                StaticRoutes(DEAD_ROUTES), retry=FAST_RETRY
+            ) as client:
+                with pytest.raises(ValueError, match="binary wire only"):
+                    await client.query_many(QUERIES, frame_queries=4)
+
+        asyncio.run(scenario())
+
+    def test_facade_loop_closed_after_close(self):
+        client = ClusterClient(StaticRoutes(DEAD_ROUTES), retry=FAST_RETRY)
+        assert client.table.epoch == 1
+        loop = client._loop
+        client.close()
+        assert loop.is_closed()
+        client.close()  # idempotent
 
     def test_empty_query_list(self):
         with ScriptedCluster(["ok"], ["ok"]) as cluster:

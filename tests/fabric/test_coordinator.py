@@ -220,3 +220,23 @@ class TestBlockingHelpers:
                 await coordinator.aclose()
 
         asyncio.run(scenario())
+
+    def test_coordinator_hanging_up_is_a_connection_error(self):
+        """A peer that closes before answering surfaces as the
+        ConnectionError the CLI reports, not an asyncio internal."""
+
+        async def hang_up(reader, writer):
+            writer.close()
+
+        async def scenario():
+            server = await asyncio.start_server(hang_up, "127.0.0.1", 0)
+            host, port = server.sockets[0].getsockname()[:2]
+            try:
+                loop = asyncio.get_running_loop()
+                with pytest.raises(ConnectionError):
+                    await loop.run_in_executor(None, fetch_status, f"{host}:{port}")
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        asyncio.run(scenario())

@@ -1,5 +1,5 @@
 """Tests for the unified client API: connect/aconnect, the
-OptimizerClient protocol, the deprecation shims, and ServerConfig."""
+OptimizerClient protocol, and ServerConfig."""
 
 from __future__ import annotations
 
@@ -12,12 +12,10 @@ from repro.service import (
     AsyncOptimizerClient,
     AsyncOptimizerServer,
     AsyncServerClient,
-    AsyncServiceClient,
     OptimizerClient,
     OptimizerRegistry,
     ServerClient,
     ServerConfig,
-    ServiceClient,
     aconnect,
     connect,
 )
@@ -87,16 +85,7 @@ class TestConnect:
         with pytest.raises(ValueError, match="cluster targets only"):
             asyncio.run(aconnect("127.0.0.1:1", retry=RetryPolicy()))
 
-    def test_cluster_clients_satisfy_protocols(self):
-        from repro.fabric import AsyncClusterClient, ClusterClient
-
-        # structural protocol checks need no live coordinator
-        assert issubclass(ClusterClient, OptimizerClient)
-        assert issubclass(AsyncClusterClient, AsyncOptimizerClient)
-
-
-class TestDeprecationShims:
-    def test_service_client_warns_but_works(self, registry):
+    def test_frame_queries_is_binary_only_on_every_target(self, registry):
         async def scenario():
             server = await AsyncOptimizerServer(
                 registry, ServerConfig(default_preset="ipsc860")
@@ -106,43 +95,26 @@ class TestDeprecationShims:
                 addr = str(server.address)
 
                 def blocking():
-                    with pytest.deprecated_call(match="use repro.service.connect"):
-                        client = ServiceClient(addr)
-                    with client:
-                        return client.query(7, 40.0)
+                    with connect(addr) as client:
+                        with pytest.raises(ValueError, match="binary wire only"):
+                            client.query_many([(7, 40.0)], frame_queries=2)
 
-                return await loop.run_in_executor(None, blocking)
+                await loop.run_in_executor(None, blocking)
             finally:
                 await server.aclose()
 
-        assert asyncio.run(scenario())["ok"]
+        asyncio.run(scenario())
+        # no coordinator listens here: the refusal must precede any I/O
+        with connect(f"{CLUSTER_SCHEME}127.0.0.1:1") as client:
+            with pytest.raises(ValueError, match="binary wire only"):
+                client.query_many([(7, 40.0)], frame_queries=2)
 
-    def test_async_service_client_warns_but_works(self, registry):
-        async def scenario():
-            server = await AsyncOptimizerServer(
-                registry, ServerConfig(default_preset="ipsc860")
-            ).start("127.0.0.1:0")
-            try:
-                with pytest.deprecated_call(match="use repro.service.aconnect"):
-                    client = await AsyncServiceClient.connect(str(server.address))
-                try:
-                    return await client.query(7, 40.0)
-                finally:
-                    await client.aclose()
-            finally:
-                await server.aclose()
+    def test_cluster_clients_satisfy_protocols(self):
+        from repro.fabric import AsyncClusterClient, ClusterClient
 
-        assert asyncio.run(scenario())["ok"]
-
-    def test_shims_are_subclasses(self):
-        assert issubclass(ServiceClient, ServerClient)
-        assert issubclass(AsyncServiceClient, AsyncServerClient)
-
-    def test_new_names_do_not_warn(self, recwarn):
-        with pytest.raises((ConnectionError, OSError)):
-            ServerClient("127.0.0.1:1", timeout=0.1)
-        deprecations = [w for w in recwarn if issubclass(w.category, DeprecationWarning)]
-        assert not deprecations
+        # structural protocol checks need no live coordinator
+        assert issubclass(ClusterClient, OptimizerClient)
+        assert issubclass(AsyncClusterClient, AsyncOptimizerClient)
 
 
 class TestServerConfig:

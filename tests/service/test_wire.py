@@ -19,7 +19,7 @@ import pytest
 from repro.service import batch, wire
 from repro.service.async_server import LatencyHistogram
 from repro.service.batch import ResultColumns, queries_from_arrays, resolve_queries
-from repro.service.client import AsyncServiceClient
+from repro.service.client import AsyncServerClient
 from repro.service.registry import OptimizerRegistry, PartitionCatalog
 from tests.service.protocol_cases import (
     BINARY_CASE_IDS,
@@ -368,7 +368,7 @@ class TestFuzzRandomBytes:
                 await asyncio.wait_for(reader.read(), timeout=5)
                 writer.close()
             # the proof: a fresh, well-formed session still works
-            async with await AsyncServiceClient.connect(
+            async with await AsyncServerClient.connect(
                 server.address, wire="binary"
             ) as client:
                 response = await client.query(7, 40.0)
@@ -487,7 +487,7 @@ class TestBinaryAnswersMatchJson:
 
         async def run_wire(kind):
             server = await started_server(tmp_path, default_preset="ipsc860")
-            async with await AsyncServiceClient.connect(
+            async with await AsyncServerClient.connect(
                 server.address, wire=kind
             ) as client:
                 responses = await client.query_many(specs)
@@ -507,7 +507,7 @@ class TestBinaryAnswersMatchJson:
     def test_signed_zero_answers_equal_the_zero_answer(self, tmp_path):
         async def scenario():
             server = await started_server(tmp_path, default_preset="ipsc860")
-            async with await AsyncServiceClient.connect(
+            async with await AsyncServerClient.connect(
                 server.address, wire="binary"
             ) as client:
                 responses = await client.query_many([(7, -0.0), (7, 0.0)])
@@ -528,7 +528,7 @@ class TestBinaryAnswersMatchJson:
 
         async def scenario():
             server = await started_server(tmp_path, default_preset="ipsc860")
-            async with await AsyncServiceClient.connect(
+            async with await AsyncServerClient.connect(
                 server.address, wire="binary"
             ) as client:
                 responses = await client.query_many(
@@ -545,7 +545,7 @@ class TestBinaryAnswersMatchJson:
     def test_dedup_resolves_distinct_cells_only(self, tmp_path):
         async def scenario():
             server = await started_server(tmp_path, default_preset="ipsc860")
-            async with await AsyncServiceClient.connect(
+            async with await AsyncServerClient.connect(
                 server.address, wire="binary"
             ) as client:
                 responses = await client.query_many(
@@ -569,7 +569,7 @@ class TestAuthToken:
             server = await started_server(
                 tmp_path, default_preset="ipsc860", auth_token="hunter2"
             )
-            async with await AsyncServiceClient.connect(
+            async with await AsyncServerClient.connect(
                 server.address, wire="binary", auth_token="hunter2"
             ) as good:
                 response = await good.query(7, 40.0)
@@ -668,7 +668,7 @@ class TestLoadShedding:
                 tmp_path, default_preset="ipsc860",
                 hold_us=200_000.0, shed_queries=1,
             )
-            async with await AsyncServiceClient.connect(server.address) as client:
+            async with await AsyncServerClient.connect(server.address) as client:
                 responses = await client.query_many(
                     [{"d": 7, "m": 40.0 + i, "id": i} for i in range(4)]
                 )
@@ -707,11 +707,11 @@ class TestStatsOp:
     def test_stats_report_latency_histogram_and_shed_counters(self, tmp_path):
         async def scenario():
             server = await started_server(tmp_path, default_preset="ipsc860")
-            async with await AsyncServiceClient.connect(
+            async with await AsyncServerClient.connect(
                 server.address, wire="binary"
             ) as binary_client:
                 await binary_client.query_many([(7, 40.0), (5, 40.0)])
-            async with await AsyncServiceClient.connect(server.address) as client:
+            async with await AsyncServerClient.connect(server.address) as client:
                 stats = await client.stats()
             await server.aclose()
             return stats

@@ -233,7 +233,7 @@ class TestSocketServeCommand:
         import threading
         import time
 
-        from repro.service.client import ServiceClient
+        from repro.service.client import ServerClient
 
         log = tmp_path / "warm.jsonl"
         log.write_text('{"d": 7, "m": 40}\n{"queries": [{"d": 5, "m": 8}]}\n')
@@ -265,7 +265,7 @@ class TestSocketServeCommand:
         err_parts.append(captured.err)
         assert "{2,3}" in captured.out and f"optimizer server at {spec}" in captured.out
 
-        with ServiceClient(spec) as client:
+        with ServerClient(spec) as client:
             client.shutdown()
         thread.join(10)
         assert not thread.is_alive() and outcome["rc"] == 0
@@ -306,9 +306,9 @@ class TestSocketServeCommand:
                 # d=0 is rejected by the server, in-band, as on stdio
                 main(["query", "0", "40", "--connect", spec])
         finally:
-            from repro.service.client import ServiceClient
+            from repro.service.client import ServerClient
 
-            with ServiceClient(spec) as client:
+            with ServerClient(spec) as client:
                 client.shutdown()
             thread.join(10)
 
